@@ -23,7 +23,7 @@ from .constructions import (
     cutset_product,
     method_counts,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .formulas import (
     IdentityCheck,
     binomial,
@@ -33,7 +33,7 @@ from .formulas import (
     per_level_bound_value,
     symmetric_per_level_bound,
 )
-from .lattice import NodeSet, TruncatedLattice, color_of, covers_in, level_masks, level_nodes
+from .lattice import NodeSet, TruncatedLattice, level_masks, level_nodes
 from .search import (
     ConjectureReport,
     SearchBudget,

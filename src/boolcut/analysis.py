@@ -19,13 +19,11 @@ maximal chain is reconstructed as the counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .chains import Chain
-from .errors import DomainError
+from .chains import Chain, augment
+from .errors import DomainError, InternalError
 from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -96,84 +94,24 @@ class InclusionMatcher:
         self.below[v] = downs
         self.nodes.append(v)
         log: list[tuple] = []
-        self._augment_lower(v, log)
+        augment(v, self.above, self.pair_down, self.pair_up, log)
         if v not in self.pair_down:
-            self._augment_upper(v, log)
+            augment(v, self.below, self.pair_up, self.pair_down, log)
         self._trail.append(log)
 
     def pop(self) -> None:
         v = self.nodes.pop()
-        for kind, key, old in reversed(self._trail.pop()):
-            d = self.pair_up if kind == 0 else self.pair_down
-            if old is _MISSING:
-                del d[key]
+        for mates, key, old in reversed(self._trail.pop()):
+            if old is None:
+                del mates[key]
             else:
-                d[key] = old
+                mates[key] = old
         for u in self.below[v]:
             self.above[u].pop()
         for u in self.above[v]:
             self.below[u].pop()
         del self.above[v]
         del self.below[v]
-
-    def _record_pair(self, u: int, w: int, log: list[tuple]) -> None:
-        log.append((0, u, self.pair_up.get(u, _MISSING)))
-        log.append((1, w, self.pair_down.get(w, _MISSING)))
-        self.pair_up[u] = w
-        self.pair_down[w] = u
-
-    def _augment_lower(self, u0: int, log: list[tuple]) -> bool:
-        # Alternating DFS from the lower copy of u0 to any unmatched upper.
-        visited: set[int] = set()
-        parent: dict[int, int] = {}
-        stack: list[tuple[int, Iterator[int]]] = [(u0, iter(self.above[u0]))]
-        while stack:
-            u, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                stack.pop()
-                continue
-            if w in visited:
-                continue
-            visited.add(w)
-            parent[w] = u
-            mate = self.pair_down.get(w)
-            if mate is None:
-                while True:
-                    u = parent[w]
-                    old = self.pair_up.get(u)
-                    self._record_pair(u, w, log)
-                    if old is None:
-                        return True
-                    w = old
-            stack.append((mate, iter(self.above[mate])))
-        return False
-
-    def _augment_upper(self, w0: int, log: list[tuple]) -> bool:
-        visited: set[int] = set()
-        parent: dict[int, int] = {}
-        stack: list[tuple[int, Iterator[int]]] = [(w0, iter(self.below[w0]))]
-        while stack:
-            w, it = stack[-1]
-            u = next(it, None)
-            if u is None:
-                stack.pop()
-                continue
-            if u in visited:
-                continue
-            visited.add(u)
-            parent[u] = w
-            mate = self.pair_up.get(u)
-            if mate is None:
-                while True:
-                    w = parent[u]
-                    old = self.pair_down.get(w)
-                    self._record_pair(u, w, log)
-                    if old is None:
-                        return True
-                    u = old
-            stack.append((mate, iter(self.below[mate])))
-        return False
 
 
 def _shared_ground(nodes: Iterable[NodeSet]) -> tuple[list[int], int]:
@@ -227,11 +165,12 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
             seq.append(matcher.pair_up[seq[-1]])
         cover.append(tuple(seq))
 
-    assert len(antichain) == w == len(cover)
-    assert sorted(x for seq in cover for x in seq) == masks
-    for i, a in enumerate(antichain):
-        for b in antichain[:i]:
-            assert a & ~b and b & ~a
+    if not (
+        len(antichain) == w == len(cover)
+        and sorted(x for seq in cover for x in seq) == masks
+        and all(a & ~b and b & ~a for i, a in enumerate(antichain) for b in antichain[:i])
+    ):
+        raise InternalError(f"width certificates of {len(masks)} nodes do not verify")
 
     return WidthReport(
         width=w,
@@ -305,7 +244,8 @@ def missed_chain_masks(
             if w in useful[idx] and (best is None or w < best):
                 best = w
             b ^= low
-        assert best is not None
+        if best is None:
+            raise InternalError(f"missed-chain reconstruction stuck above {v:#x}")
         path.append(best)
     return path
 

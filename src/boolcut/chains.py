@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import DomainError
 from .lattice import MAX_GROUND, NodeSet, level_masks
@@ -132,33 +132,43 @@ def _symmetric_chain_masks(k: int) -> list[list[int]]:
     return chains
 
 
-def _augment(start: int, adjacent: dict[int, list[int]], pair_pred: dict[int, int],
-             pair_node: dict[int, int]) -> bool:
-    # Iterative Kuhn augmentation from an unmatched node; levels can hold
-    # thousands of nodes, so no recursion.
+def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, int],
+            left_mate: dict[int, int], log: Optional[list] = None) -> bool:
+    """Kuhn's alternating-path search from the unmatched left node ``start``.
+
+    ``adjacent`` maps left nodes to right nodes in search order; the two
+    mate dicts hold the matching from either side.  On success the path
+    is flipped and True is returned.  When ``log`` is given, each mate
+    change is appended as ``(dict, key, old)``, with old None for a key
+    that was absent, so the caller can undo it.  Iterative, because
+    levels can hold thousands of nodes.
+    """
     visited: set[int] = set()
     parent: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = [(start, iter(adjacent[start]))]
     while stack:
-        y, it = stack[-1]
-        p = next(it, None)
-        if p is None:
+        x, it = stack[-1]
+        y = next(it, None)
+        if y is None:
             stack.pop()
             continue
-        if p in visited:
+        if y in visited:
             continue
-        visited.add(p)
-        parent[p] = y
-        holder = pair_pred.get(p)
+        visited.add(y)
+        parent[y] = x
+        holder = right_mate.get(y)
         if holder is None:
             while True:
-                y = parent[p]
-                old = pair_node.get(y)
-                pair_pred[p] = y
-                pair_node[y] = p
+                x = parent[y]
+                old = left_mate.get(x)
+                if log is not None:
+                    log.append((right_mate, y, right_mate.get(y)))
+                    log.append((left_mate, x, old))
+                right_mate[y] = x
+                left_mate[x] = y
                 if old is None:
                     return True
-                p = old
+                y = old
         stack.append((holder, iter(adjacent[holder])))
     return False
 
@@ -190,13 +200,13 @@ def _bounded_chain_masks(k: int, c: int) -> list[list[int]]:
         constrained = sorted((y for y in nodes if maxpred[y] >= 1),
                              key=lambda y: (-maxpred[y], y))
         for y in constrained:
-            _augment(y, window, pair_pred, pair_node)
+            augment(y, window, pair_pred, pair_node)
         for y in nodes:
             if maxpred[y] == 0 and y not in pair_node:
-                _augment(y, window, pair_pred, pair_node)
+                augment(y, window, pair_pred, pair_node)
         for y in nodes:
             if y not in pair_node:
-                _augment(y, wide, pair_pred, pair_node)
+                augment(y, wide, pair_pred, pair_node)
         new_age = {}
         for y in nodes:
             p = pair_node.get(y)

@@ -1,9 +1,11 @@
 """Command-line interface: construct, verify, search, report, identities.
 
-Exit codes: 0 success, 2 parameter or input error, 3 verification failure
-(a claimed cutset is not one), 4 search budget exhausted.  All output is
-JSON or CSV; every command is deterministic, so artifacts are stable
-across runs (there is no randomness anywhere, hence no seed flags).
+Exit codes: 0 success, 1 internal error (a result failed its own
+re-verification; a bug, reported with a traceback), 2 parameter or input
+error, 3 verification failure (a claimed cutset is not one), 4 search
+budget exhausted.  All output is JSON or CSV; every command is
+deterministic, so artifacts are stable across runs (there is no
+randomness anywhere, hence no seed flags).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 from . import analysis, constructions, formulas, search
 from .constructions import Cutset
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .lattice import TruncatedLattice
 from .search import SearchBudget, SearchStatus
 
@@ -64,17 +66,6 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
         action="store_true",
         help="enable canonical-selection pruning; never changes values",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; values are identical for any setting",
-    )
-
-
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise DomainError("--threads must be >= 1")
 
 
 def cmd_construct(args) -> int:
@@ -137,7 +128,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_threads(args)
     run = search.exact_min_width if args.target == "h" else search.exact_min_per_level
     result = run(
         args.n,
@@ -169,7 +159,9 @@ def report_rows(n_values, m_values, budget, node_cap, symmetry=False):
     """Yield one report row per instance (n, m, l) with m <= l <= n - m.
 
     Instances whose lattice exceeds ``node_cap`` keep their formula columns
-    but get SKIPPED search cells.
+    but get SKIPPED search cells.  Exact cells must satisfy g <= h <=
+    construction count, which holds for every instance; a row breaking it
+    raises InternalError.
     """
     for n in n_values:
         for m in m_values:
@@ -187,6 +179,15 @@ def report_rows(n_values, m_values, budget, node_cap, symmetry=False):
                     rep = search.conjecture_report(
                         n, m, l, budget, node_cap=node_cap, symmetry=symmetry
                     )
+                    h, g = rep.searched_h.value, rep.searched_g.value
+                    if h is not None and (
+                        construction is not None and h > construction
+                        or g is not None and g > h
+                    ):
+                        raise InternalError(
+                            f"g <= h <= construction fails at n={n} m={m} l={l}: "
+                            f"g={g} h={h} construction={construction}"
+                        )
                     h_cell = _search_cell(rep.searched_h)
                     g_cell = _search_cell(rep.searched_g)
                     flags = ";".join(
@@ -214,7 +215,6 @@ def report_rows(n_values, m_values, budget, node_cap, symmetry=False):
 
 
 def cmd_report(args) -> int:
-    _check_threads(args)
     if args.n_min > args.n_max or args.m_min > args.m_max or args.m_min < 0:
         raise DomainError("empty or negative parameter range")
     rows = report_rows(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import Chain, bounded_chain_partition
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .formulas import binomial
 from .lattice import NodeSet, TruncatedLattice, level_masks
 
@@ -78,13 +78,14 @@ class Cutset:
     def from_json(cls, data: dict) -> "Cutset":
         if not isinstance(data, dict):
             raise DomainError("cutset JSON must be an object")
-        if data.get("format") != 1:
+        if type(data.get("format")) is not int or data["format"] != 1:
             raise DomainError(f"unsupported cutset format {data.get('format')!r}")
         try:
-            n, m, l = int(data["n"]), int(data["m"]), int(data["l"])
-            raw_chains = data["chains"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed cutset JSON: {exc}") from exc
+            n, m, l, raw_chains = data["n"], data["m"], data["l"], data["chains"]
+        except KeyError as exc:
+            raise DomainError(f"malformed cutset JSON: missing {exc}") from exc
+        if not all(type(x) is int for x in (n, m, l)):
+            raise DomainError(f"cutset JSON n, m, l must be integers, got {n!r}, {m!r}, {l!r}")
         if not isinstance(raw_chains, list) or not all(
             isinstance(ch, list) for ch in raw_chains
         ):
@@ -154,6 +155,12 @@ def cutset_product(n: int, m: int, l: int) -> Cutset:
         raise DomainError(f"need 0 <= 2m <= l <= n - m, got n={n} m={m} l={l}")
     lat = TruncatedLattice(n, m, l)
     part = bounded_chain_partition(2 * m, m + 1)
+    high = sum(ch.bottom.level > m for ch in part.chains)
+    if len(part.chains) != binomial(2 * m, m) or high:
+        raise InternalError(
+            f"bounded partition of 2^[{2 * m}] has {len(part.chains)} chains, "
+            f"not C({2 * m},{m}) = {binomial(2 * m, m)}, and {high} bottoms above level {m}"
+        )
     chains = []
     for ch in part.chains:
         j = ch.bottom.level

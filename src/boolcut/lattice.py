@@ -71,8 +71,10 @@ class NodeSet:
 
     @classmethod
     def from_json(cls, data, n: int) -> "NodeSet":
-        if not isinstance(data, list) or not all(isinstance(e, int) for e in data):
+        if not isinstance(data, list) or not all(type(e) is int for e in data):
             raise DomainError(f"node must be a list of integers, got {data!r}")
+        if any(a >= b for a, b in zip(data, data[1:])):
+            raise DomainError(f"node elements must be ascending without repeats, got {data!r}")
         return cls.from_elements(data, n)
 
     def __repr__(self) -> str:
@@ -129,23 +131,3 @@ def level_nodes(n: int, k: int) -> list[NodeSet]:
     """All subsets of size k over [n], in ascending bit-vector order."""
     return [NodeSet(v, n) for v in level_masks(n, k)]
 
-
-def color_of(a: NodeSet, m: int) -> NodeSet:
-    """The color of ``a``: its intersection with [2m], as a subset of [2m]."""
-    if m < 0 or 2 * m > a.n:
-        raise DomainError(f"color needs 0 <= 2m <= n, got m={m}, n={a.n}")
-    return NodeSet(a.bits & full_mask(2 * m), 2 * m)
-
-
-def covers_in(lat: TruncatedLattice, a: NodeSet) -> list[NodeSet]:
-    """The covers of ``a`` inside ``lat``: supersets with one extra element.
-
-    ``a`` must lie strictly below the top level of the lattice.
-    """
-    if a.n != lat.n:
-        raise DomainError("ground size mismatch")
-    if not lat.m <= a.level <= lat.l:
-        raise DomainError(f"node at level {a.level} outside levels {lat.m}..{lat.l}")
-    if a.level == lat.l:
-        raise DomainError(f"node at top level {lat.l} has no covers in the lattice")
-    return [NodeSet(a.bits | 1 << i, a.n) for i in range(a.n) if not a.bits >> i & 1]

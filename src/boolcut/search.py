@@ -25,6 +25,7 @@ deterministic, so returned values and witnesses are reproducible.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -33,8 +34,8 @@ from . import analysis, formulas
 from .analysis import InclusionMatcher, missed_chain_masks
 from .chains import Chain
 from .constructions import Cutset, method_counts
-from .errors import DomainError
-from .lattice import NodeSet, TruncatedLattice, level_masks
+from .errors import DomainError, InternalError
+from .lattice import MAX_GROUND, NodeSet, TruncatedLattice, level_masks
 
 DEFAULT_NODE_CAP = 64
 
@@ -114,7 +115,7 @@ class _Budget:
 class _WidthGoal:
     """Objective for h: width of the selection, via incremental matching."""
 
-    def __init__(self, m: int, n_levels: int) -> None:
+    def __init__(self) -> None:
         self._matcher = InclusionMatcher()
 
     def push(self, v: int) -> int:
@@ -128,20 +129,19 @@ class _WidthGoal:
 class _PerLevelGoal:
     """Objective for g: the count on the level just touched."""
 
-    def __init__(self, m: int, n_levels: int) -> None:
-        self._m = m
-        self._counts = [0] * n_levels
+    def __init__(self) -> None:
+        self._counts = [0] * (MAX_GROUND + 1)
 
     def push(self, v: int) -> int:
-        i = v.bit_count() - self._m
+        i = v.bit_count()
         self._counts[i] += 1
         return self._counts[i]
 
     def pop(self, v: int) -> None:
-        self._counts[v.bit_count() - self._m] -= 1
+        self._counts[v.bit_count()] -= 1
 
 
-def _decide(levels, n, m, limit, goal_cls, bud, min_level, forced) -> Optional[list[int]]:
+def _decide(levels, n, limit, goal_cls, bud, min_level, forced) -> Optional[list[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     Branches on the least missed maximal chain; candidates below
@@ -150,7 +150,7 @@ def _decide(levels, n, m, limit, goal_cls, bud, min_level, forced) -> Optional[l
     Returns the selection in insertion order, or None when provably
     infeasible within the restricted class.
     """
-    goal = goal_cls(m, len(levels))
+    goal = goal_cls()
     selected: set[int] = set()
     order: list[int] = []
     seen: set[frozenset[int]] = set()
@@ -187,13 +187,13 @@ def _decide(levels, n, m, limit, goal_cls, bud, min_level, forced) -> Optional[l
 
 def _decide_any(levels, n, m, limit, goal_cls, bud, symmetry) -> Optional[list[int]]:
     if not symmetry:
-        return _decide(levels, n, m, limit, goal_cls, bud, min_level=m, forced=None)
+        return _decide(levels, n, limit, goal_cls, bud, min_level=m, forced=None)
     # Up to relabeling of [n], some optimal selection contains the set
     # {1..i} where i is its minimum occupied level; try each i in turn.
     l = m + len(levels) - 1
     for i0 in range(m, l + 1):
         sel = _decide(
-            levels, n, m, limit, goal_cls, bud, min_level=i0, forced=(1 << i0) - 1
+            levels, n, limit, goal_cls, bud, min_level=i0, forced=(1 << i0) - 1
         )
         if sel is not None:
             return sel
@@ -205,7 +205,7 @@ def _witness(n: int, m: int, l: int, selection: list[int]) -> Cutset:
     return Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
 
 
-def _run(n, m, l, budget, node_cap, symmetry, goal_cls, verify) -> SearchResult:
+def _run(n, m, l, budget, node_cap, symmetry, goal_cls, measure) -> SearchResult:
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
     node_count = TruncatedLattice(n, m, l).node_count
@@ -226,13 +226,17 @@ def _run(n, m, l, budget, node_cap, symmetry, goal_cls, verify) -> SearchResult:
             selection = _decide_any(levels, n, m, target, goal_cls, bud, symmetry)
             if selection is not None:
                 wit = _witness(n, m, l, selection)
-                verify(wit, target)
+                nodes = wit.nodes()
+                if not analysis.is_cutset(wit.lat, nodes).is_cutset or measure(nodes) != target:
+                    raise InternalError(
+                        f"witness for n={n} m={m} l={l} at {target} failed re-verification"
+                    )
                 elapsed = time.monotonic() - start
                 return SearchResult(
                     SearchStatus.EXACT, target, target, target, wit, bud.expanded, elapsed
                 )
             target += 1
-        raise AssertionError("deepening exceeded the trivial upper bound")
+        raise InternalError("deepening exceeded the trivial upper bound")
     except _Exhausted:
         elapsed = time.monotonic() - start
         status = SearchStatus.BOUNDS if target > 1 else SearchStatus.UNKNOWN
@@ -257,13 +261,9 @@ def exact_min_width(
     carry the set {1..i}); it can only speed the search up, never change
     the value.
     """
-
-    def verify(wit: Cutset, value: int) -> None:
-        nodes = wit.nodes()
-        assert analysis.is_cutset(wit.lat, nodes).is_cutset
-        assert analysis.width(nodes).width == value
-
-    return _run(n, m, l, budget, node_cap, symmetry, _WidthGoal, verify)
+    return _run(
+        n, m, l, budget, node_cap, symmetry, _WidthGoal, lambda nodes: analysis.width(nodes).width
+    )
 
 
 def exact_min_per_level(
@@ -276,16 +276,10 @@ def exact_min_per_level(
     symmetry: bool = False,
 ) -> SearchResult:
     """Exact g(n, m, l): least k with a cutset holding <= k nodes per level."""
-
-    def verify(wit: Cutset, value: int) -> None:
-        nodes = wit.nodes()
-        assert analysis.is_cutset(wit.lat, nodes).is_cutset
-        per_level = [0] * (l - m + 1)
-        for a in nodes:
-            per_level[a.level - m] += 1
-        assert max(per_level) == value
-
-    return _run(n, m, l, budget, node_cap, symmetry, _PerLevelGoal, verify)
+    return _run(
+        n, m, l, budget, node_cap, symmetry, _PerLevelGoal,
+        lambda nodes: max(Counter(a.level for a in nodes).values()),
+    )
 
 
 @dataclass(frozen=True)

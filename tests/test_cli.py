@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from boolcut import InternalError, search
 from boolcut.cli import main
 
 
@@ -115,6 +117,28 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"format": True},
+            {"format": 1.0},
+            {"n": 4.9},
+            {"n": 4.0},
+            {"m": True},
+            {"l": "2"},
+            {"chains": [[[3, 3]]]},
+            {"chains": [[[3, 1]]]},
+            {"chains": [[[True]]]},
+            {"n": 4.9, "m": True, "chains": [[[3, 3]]]},
+        ],
+    )
+    def test_loose_cutset_json_exits_2(self, capsys, tmp_path, overrides):
+        data = {"format": 1, "n": 4, "m": 1, "l": 2, "chains": [[[3], [1, 3]]], **overrides}
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and err.startswith("error:")
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -157,20 +181,6 @@ class TestSearch:
         )
         assert code == 4 and json.loads(out)["status"] == "UNKNOWN"
 
-    def test_threads_must_be_positive(self, capsys):
-        code, _, _ = run(
-            capsys, "search", "--n", "3", "--m", "1", "--l", "1", "--threads", "0"
-        )
-        assert code == 2
-
-    def test_threads_do_not_change_values(self, capsys):
-        _, out1, _ = run(capsys, "search", "--n", "4", "--m", "1", "--l", "2")
-        _, out8, _ = run(
-            capsys, "search", "--n", "4", "--m", "1", "--l", "2", "--threads", "8"
-        )
-        a, b = json.loads(out1), json.loads(out8)
-        assert a["value"] == b["value"] and a["witness"] == b["witness"]
-
 
 class TestReport:
     def test_five_rows_for_small_range(self, capsys):
@@ -195,6 +205,25 @@ class TestReport:
         )
         assert code == 0
         assert any("UNKNOWN" in line for line in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("broken", ["h_above_construction", "g_above_h"])
+    def test_sandwich_violation_raises(self, monkeypatch, broken):
+        real = search.conjecture_report
+
+        def exact(result, value):
+            return dataclasses.replace(result, value=value, lower=value, upper=value)
+
+        def violating(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            h = rep.searched_h.value
+            if broken == "g_above_h":
+                return dataclasses.replace(rep, searched_g=exact(rep.searched_g, h + 1))
+            upper = rep.construction_upper_bound
+            return dataclasses.replace(rep, searched_h=exact(rep.searched_h, upper + 1))
+
+        monkeypatch.setattr(search, "conjecture_report", violating)
+        with pytest.raises(InternalError, match="g <= h <= construction fails"):
+            main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
     def test_golden_stability(self, capsys):
         args = ["report", "--n-min", "3", "--n-max", "4", "--m-min", "0", "--m-max", "2"]

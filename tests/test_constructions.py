@@ -1,8 +1,11 @@
 import pytest
 
 from boolcut import (
+    Chain,
+    ChainPartition,
     Cutset,
     DomainError,
+    InternalError,
     NodeSet,
     TruncatedLattice,
     choose_method,
@@ -16,6 +19,7 @@ from boolcut import (
     method_counts,
     width,
 )
+from boolcut import constructions
 
 from helpers import naive_is_cutset, pascal
 
@@ -96,6 +100,18 @@ class TestProduct:
             cutset_product(7, 2, 3)  # l below 2m
         with pytest.raises(DomainError):
             cutset_product(7, 2, 6)  # l above n - m
+
+    def test_defective_partition_fails_before_lifting(self, monkeypatch):
+        real = constructions.bounded_chain_partition
+
+        def stranded_top(k, c):
+            top = NodeSet((1 << k) - 1, k)
+            chains = [Chain(tuple(x for x in ch if x != top)) for ch in real(k, c).chains]
+            return ChainPartition(tuple(chains) + (Chain((top,)),), k=k, c=c)
+
+        monkeypatch.setattr(constructions, "bounded_chain_partition", stranded_top)
+        with pytest.raises(InternalError, match=r"7 chains, not C\(4,2\) = 6, and 1 bottoms"):
+            cutset_product(6, 2, 4)
 
     def test_lives_in_levels_m_to_2m_and_cuts_every_taller_slice(self):
         n, m, l = 8, 2, 6

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from boolcut import DomainError, NodeSet, TruncatedLattice, color_of, covers_in, level_nodes
+from boolcut import DomainError, NodeSet, TruncatedLattice, level_nodes
 from boolcut.lattice import level_masks
 
 from helpers import level_masks_naive, pascal
@@ -58,60 +58,6 @@ class TestLevelNodes:
     @pytest.mark.parametrize("n", range(13))
     def test_levels_partition_the_cube(self, n):
         assert sum(len(level_masks(n, k)) for k in range(n + 1)) == 2**n
-
-
-class TestColorOf:
-    def test_examples(self):
-        assert color_of(NodeSet.from_elements([1, 3, 5], 6), 2).elements() == (1, 3)
-        assert color_of(NodeSet.from_elements([5, 6], 6), 2).elements() == ()
-        assert color_of(NodeSet.from_elements([1, 2, 3, 4], 4), 2).elements() == (1, 2, 3, 4)
-
-    def test_ground_set_is_2m(self):
-        assert color_of(NodeSet.from_elements([1, 3, 5], 6), 2).n == 4
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            color_of(NodeSet(0, 3), 2)
-
-    @given(st.integers(0, 10), st.data())
-    def test_monotone(self, n, data):
-        m = data.draw(st.integers(0, n // 2))
-        a_bits = data.draw(st.integers(0, 2**n - 1))
-        b_bits = a_bits | data.draw(st.integers(0, 2**n - 1))
-        a, b = NodeSet(a_bits, n), NodeSet(b_bits, n)
-        assert color_of(a, m).issubset(color_of(b, m))
-
-
-class TestCoversIn:
-    def test_bottom_of_full_cube(self):
-        lat = TruncatedLattice(3, 0, 3)
-        out = covers_in(lat, NodeSet(0, 3))
-        assert [a.elements() for a in out] == [(1,), (2,), (3,)]
-
-    def test_middle(self):
-        lat = TruncatedLattice(3, 1, 2)
-        out = covers_in(lat, NodeSet.from_elements([1], 3))
-        assert [a.elements() for a in out] == [(1, 2), (1, 3)]
-
-    def test_top_level_has_no_covers(self):
-        lat = TruncatedLattice(4, 2, 2)
-        with pytest.raises(DomainError):
-            covers_in(lat, NodeSet.from_elements([1, 2], 4))
-
-    def test_outside_levels(self):
-        lat = TruncatedLattice(4, 2, 3)
-        with pytest.raises(DomainError):
-            covers_in(lat, NodeSet.from_elements([1], 4))
-
-    @given(st.integers(1, 8), st.data())
-    def test_covers_are_exactly_one_element_up(self, n, data):
-        bits = data.draw(st.integers(0, 2**n - 2))
-        a = NodeSet(bits, n)
-        lat = TruncatedLattice(n, 0, n)
-        out = covers_in(lat, a)
-        for b in out:
-            assert a.issubset(b) and b.level == a.level + 1
-        assert len(out) == n - a.level
 
 
 class TestTruncatedLattice:

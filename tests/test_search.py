@@ -1,9 +1,12 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
 
 from boolcut import (
+    CutsetReport,
     DomainError,
+    InternalError,
     SearchBudget,
     SearchStatus,
     conjecture_report,
@@ -14,6 +17,7 @@ from boolcut import (
     per_level_bound_value,
     width,
 )
+from boolcut import analysis
 
 from helpers import brute_force_width, mask_of, naive_is_cutset
 
@@ -142,6 +146,27 @@ class TestExactMinPerLevel:
             g = exact_min_per_level(n, m, l).value
             h = exact_min_width(n, m, l).value
             assert g <= h
+
+
+class TestReverification:
+    """An EXACT result re-checks its witness; a wrong verdict there is a bug."""
+
+    def test_width_disagreement_raises(self, monkeypatch):
+        real = analysis.width
+
+        def off_by_one(nodes):
+            rep = real(nodes)
+            return dataclasses.replace(rep, width=rep.width + 1)
+
+        monkeypatch.setattr(analysis, "width", off_by_one)
+        with pytest.raises(InternalError, match="failed re-verification"):
+            exact_min_width(4, 1, 2)
+
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
+    def test_rejected_witness_raises(self, monkeypatch, run):
+        monkeypatch.setattr(analysis, "is_cutset", lambda lat, nodes: CutsetReport(False, None))
+        with pytest.raises(InternalError, match="failed re-verification"):
+            run(4, 1, 2)
 
 
 class TestSymmetryPruning:
