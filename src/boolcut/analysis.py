@@ -9,11 +9,12 @@ the width, and Koenig's theorem turns the matching into an explicit
 maximum antichain.  Both certificates (antichain and chain cover) are
 returned and re-checked on every call.
 
-Cutset membership uses a level-by-level reachability sweep: a node is
-"alive" when it is unselected and reachable from an unselected bottom node
-through unselected covers.  The selection is a cutset exactly when nothing
-at the top level is alive; otherwise the lexicographically least alive
-maximal chain is reconstructed as the counterexample.
+Cutset membership uses one backward sweep, top level first: a node is
+"live" when it is unselected and the top level can be reached from it
+through unselected covers.  The selection is a cutset exactly when no
+bottom node is live; otherwise a greedy walk up through live nodes, from
+the least live bottom node and always to the least live cover,
+reconstructs the lexicographically least missed maximal chain.
 """
 
 from __future__ import annotations
@@ -198,42 +199,29 @@ def missed_chain_masks(
     Returns None when every maximal chain meets ``selected``; otherwise the
     lexicographically least untouched maximal chain, bottom to top.
     """
-    alive: list[set[int]] = [{v for v in levels[0] if v not in selected}]
-    for lv in levels[1:]:
-        prev = alive[-1]
+    mask_all = full_mask(n)
+    live: list[set[int]] = [{v for v in levels[-1] if v not in selected}]
+    for lv in levels[-2::-1]:
+        up = live[-1]
+        if not up:
+            return None
         cur: set[int] = set()
         for v in lv:
             if v in selected:
                 continue
-            b = v
-            while b:
-                low = b & -b
-                if v ^ low in prev:
-                    cur.add(v)
-                    break
-                b ^= low
-        alive.append(cur)
-    if not alive[-1]:
-        return None
-
-    # Keep only alive nodes from which the top level is still reachable.
-    useful = [set() for _ in levels]
-    useful[-1] = alive[-1]
-    mask_all = full_mask(n)
-    for idx in range(len(levels) - 2, -1, -1):
-        up = useful[idx + 1]
-        keep: set[int] = set()
-        for v in alive[idx]:
             b = mask_all ^ v
             while b:
                 low = b & -b
                 if v | low in up:
-                    keep.add(v)
+                    cur.add(v)
                     break
                 b ^= low
-        useful[idx] = keep
+        live.append(cur)
+    if not live[-1]:
+        return None
+    live.reverse()
 
-    path = [min(useful[0])]
+    path = [min(live[0])]
     for idx in range(1, len(levels)):
         v = path[-1]
         best = None
@@ -241,7 +229,7 @@ def missed_chain_masks(
         while b:
             low = b & -b
             w = v | low
-            if w in useful[idx] and (best is None or w < best):
+            if w in live[idx] and (best is None or w < best):
                 best = w
             b ^= low
         if best is None:

@@ -61,11 +61,6 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
         default=search.DEFAULT_NODE_CAP,
         help="largest lattice (node count) the search will accept",
     )
-    p.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="enable canonical-selection pruning; never changes values",
-    )
 
 
 def cmd_construct(args) -> int:
@@ -129,14 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     run = search.exact_min_width if args.target == "h" else search.exact_min_per_level
-    result = run(
-        args.n,
-        args.m,
-        args.l,
-        _budget_from(args),
-        node_cap=args.max_lattice_nodes,
-        symmetry=args.symmetry,
-    )
+    result = run(args.n, args.m, args.l, _budget_from(args), node_cap=args.max_lattice_nodes)
     print(json.dumps(result.to_json()))
     return 0 if result.status is SearchStatus.EXACT else 4
 
@@ -155,7 +143,7 @@ def _flag_token(label: str, value: Optional[bool]) -> str:
     return label.replace("~", "=" if value else "!=")
 
 
-def report_rows(n_values, m_values, budget, node_cap, symmetry=False):
+def report_rows(n_values, m_values, budget, node_cap):
     """Yield one report row per instance (n, m, l) with m <= l <= n - m.
 
     Instances whose lattice exceeds ``node_cap`` keep their formula columns
@@ -176,9 +164,7 @@ def report_rows(n_values, m_values, budget, node_cap, symmetry=False):
                 if oversize:
                     h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
                 else:
-                    rep = search.conjecture_report(
-                        n, m, l, budget, node_cap=node_cap, symmetry=symmetry
-                    )
+                    rep = search.conjecture_report(n, m, l, budget, node_cap=node_cap)
                     h, g = rep.searched_h.value, rep.searched_g.value
                     if h is not None and (
                         construction is not None and h > construction
@@ -222,7 +208,6 @@ def cmd_report(args) -> int:
         range(args.m_min, args.m_max + 1),
         _budget_from(args),
         args.max_lattice_nodes,
-        symmetry=args.symmetry,
     )
     _write_csv(args.out, _REPORT_HEADER, rows)
     return 0

@@ -105,9 +105,6 @@ class TruncatedLattice:
 
         return sum(comb(self.n, i) for i in self.levels)
 
-    def contains(self, node: NodeSet) -> bool:
-        return node.n == self.n and self.m <= node.level <= self.l
-
 
 def level_masks(n: int, k: int) -> list[int]:
     """All k-subsets of [n] as bit vectors, ascending."""

@@ -12,9 +12,16 @@ solved by branching on the lexicographically least maximal chain missed by
 the current selection: any cutset must contain one of its nodes, so trying
 each node (in ascending numeric order) is exhaustive.  The width objective
 is maintained incrementally, one matching augmentation per added node; the
-per-level objective keeps plain counters.  A visited-set skips selections
-already proven infeasible at the current target, which only removes work
-(feasible selections are never recorded).
+per-level objective keeps plain counters.  Both objectives only grow as
+nodes are added, so a branch whose objective exceeds the target is cut.
+A visited-set skips selections already proven infeasible at the current
+target, which only removes work (feasible selections are never recorded).
+
+Only canonical selections are searched: for each lowest occupied level i
+in m..l in turn, the node {1..i} is pinned and candidates below level i are
+skipped.  This is sound because a permutation of [n] preserves inclusion,
+levels and maximal chains, so relabelling any cutset to move one of its
+lowest nodes onto {1..i} keeps it a cutset with the same objective.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -44,16 +51,19 @@ DEFAULT_NODE_CAP = 64
 class SearchBudget:
     """Resource limits for one exact search call.
 
-    ``wall_clock_limit`` is in seconds.  Node budgets make interruption
-    deterministic; wall-clock limits are a safety net.
+    Both must be positive: ``max_nodes_expanded`` an int (not a bool) and
+    ``wall_clock_limit`` a number of seconds (not NaN).  Node budgets make
+    interruption deterministic; wall-clock limits are a safety net.
     """
 
     max_nodes_expanded: int = 2_000_000
     wall_clock_limit: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes_expanded <= 0 or self.wall_clock_limit <= 0:
-            raise DomainError("budget limits must be positive")
+        nodes, seconds = self.max_nodes_expanded, self.wall_clock_limit
+        # "not seconds > 0" also holds for NaN, which compares false to everything.
+        if type(nodes) is not int or nodes <= 0 or not seconds > 0:
+            raise DomainError(f"budget limits must be positive, got {nodes!r} nodes, {seconds!r} s")
 
 
 class SearchStatus(Enum):
@@ -141,28 +151,27 @@ class _PerLevelGoal:
         self._counts[v.bit_count()] -= 1
 
 
-def _decide(levels, n, limit, goal_cls, bud, min_level, forced) -> Optional[list[int]]:
+def _decide(levels, n, limit, goal_cls, bud, lowest) -> Optional[list[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
-    Branches on the least missed maximal chain; candidates below
-    ``min_level`` are skipped and ``forced`` (if given) is preselected,
-    which the symmetry wrapper uses to pin the minimum occupied level.
-    Returns the selection in insertion order, or None when provably
-    infeasible within the restricted class.
+    The node {1..lowest} is pinned and candidates below ``lowest`` are
+    skipped.  Sound: relabelling [n] moves a lowest node of any cutset whose
+    lowest level is ``lowest`` onto {1..lowest} without changing its
+    objective, and branching on the least missed chain is exhaustive among
+    cutsets holding the current selection.  The pinned node is in every
+    selection here, so memo keys leave it out.  Returns the selection in
+    insertion order, or None when no such selection exists.
     """
+    pinned = (1 << lowest) - 1
     goal = goal_cls()
-    selected: set[int] = set()
-    order: list[int] = []
+    goal.push(pinned)
+    selected = {pinned}
+    order = [pinned]
     seen: set[frozenset[int]] = set()
-
-    if forced is not None:
-        goal.push(forced)
-        selected.add(forced)
-        order.append(forced)
 
     def dfs() -> bool:
         bud.tick()
-        key = frozenset(selected)
+        key = frozenset(order[1:])
         if key in seen:
             return False
         path = missed_chain_masks(levels, n, selected)
@@ -170,7 +179,7 @@ def _decide(levels, n, limit, goal_cls, bud, min_level, forced) -> Optional[list
             return True
         seen.add(key)
         for v in path:
-            if v.bit_count() < min_level:
+            if v.bit_count() < lowest:
                 continue
             metric = goal.push(v)
             selected.add(v)
@@ -185,27 +194,12 @@ def _decide(levels, n, limit, goal_cls, bud, min_level, forced) -> Optional[list
     return order if dfs() else None
 
 
-def _decide_any(levels, n, m, limit, goal_cls, bud, symmetry) -> Optional[list[int]]:
-    if not symmetry:
-        return _decide(levels, n, limit, goal_cls, bud, min_level=m, forced=None)
-    # Up to relabeling of [n], some optimal selection contains the set
-    # {1..i} where i is its minimum occupied level; try each i in turn.
-    l = m + len(levels) - 1
-    for i0 in range(m, l + 1):
-        sel = _decide(
-            levels, n, limit, goal_cls, bud, min_level=i0, forced=(1 << i0) - 1
-        )
-        if sel is not None:
-            return sel
-    return None
-
-
 def _witness(n: int, m: int, l: int, selection: list[int]) -> Cutset:
     lat = TruncatedLattice(n, m, l)
     return Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
 
 
-def _run(n, m, l, budget, node_cap, symmetry, goal_cls, measure) -> SearchResult:
+def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
     node_count = TruncatedLattice(n, m, l).node_count
@@ -223,8 +217,10 @@ def _run(n, m, l, budget, node_cap, symmetry, goal_cls, measure) -> SearchResult
     target = 1
     try:
         while target <= trivial_upper:
-            selection = _decide_any(levels, n, m, target, goal_cls, bud, symmetry)
-            if selection is not None:
+            for lowest in range(m, l + 1):
+                selection = _decide(levels, n, target, goal_cls, bud, lowest)
+                if selection is None:
+                    continue
                 wit = _witness(n, m, l, selection)
                 nodes = wit.nodes()
                 if not analysis.is_cutset(wit.lat, nodes).is_cutset or measure(nodes) != target:
@@ -252,18 +248,12 @@ def exact_min_width(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    symmetry: bool = False,
 ) -> SearchResult:
     """Exact h(n, m, l): the minimum width over all cutsets of levels m..l.
 
-    Iterative deepening on the target width, starting from 1.  ``symmetry``
-    enables canonical-selection pruning (the minimum occupied level must
-    carry the set {1..i}); it can only speed the search up, never change
-    the value.
+    Iterative deepening on the target width, starting from 1.
     """
-    return _run(
-        n, m, l, budget, node_cap, symmetry, _WidthGoal, lambda nodes: analysis.width(nodes).width
-    )
+    return _run(n, m, l, budget, node_cap, _WidthGoal, lambda nodes: analysis.width(nodes).width)
 
 
 def exact_min_per_level(
@@ -273,11 +263,10 @@ def exact_min_per_level(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    symmetry: bool = False,
 ) -> SearchResult:
     """Exact g(n, m, l): least k with a cutset holding <= k nodes per level."""
     return _run(
-        n, m, l, budget, node_cap, symmetry, _PerLevelGoal,
+        n, m, l, budget, node_cap, _PerLevelGoal,
         lambda nodes: max(Counter(a.level for a in nodes).values()),
     )
 
@@ -333,12 +322,11 @@ def conjecture_report(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    symmetry: bool = False,
 ) -> ConjectureReport:
     """Compare conjectured, searched, and constructed values on one instance."""
     conjectured = formulas.conjectured_min_width(n, m, l)
-    searched_h = exact_min_width(n, m, l, budget, node_cap=node_cap, symmetry=symmetry)
-    searched_g = exact_min_per_level(n, m, l, budget, node_cap=node_cap, symmetry=symmetry)
+    searched_h = exact_min_width(n, m, l, budget, node_cap=node_cap)
+    searched_g = exact_min_per_level(n, m, l, budget, node_cap=node_cap)
     counts = method_counts(n, m, l)
     upper = min(counts.values()) if counts else None
     symmetric = (

@@ -63,8 +63,11 @@ class TestIsCutset:
         lat = TruncatedLattice(n, m, l)
         pool = [v.bits for k in range(m, l + 1) for v in level_nodes(n, k)]
         sel = set(data.draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
-        got = is_cutset(lat, nodes_from_masks(sel, n)).is_cutset
-        assert got == naive_is_cutset(n, m, l, sel)
+        rep = is_cutset(lat, nodes_from_masks(sel, n))
+        assert rep.is_cutset == naive_is_cutset(n, m, l, sel)
+        if not rep.is_cutset:
+            least = min(ch for ch in iter_maximal_chains(n, m, l) if sel.isdisjoint(ch))
+            assert [a.bits for a in rep.missed_chain] == list(least)
 
 
 class TestNaiveEnumerationItself:

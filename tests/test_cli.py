@@ -7,6 +7,43 @@ from boolcut import InternalError, search
 from boolcut.cli import main
 
 
+# Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
+# `search --n 5 --m 1 --l 4` (minus the elapsed time): the CLI contract is
+# byte-for-byte stable, node counts included.
+GOLDEN_REPORT_CSV = """\
+n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
+3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
+3,0,1,2,1,1,1,1,1,h=conj;g=h;constr=conj
+3,0,2,3,1,1,1,1,1,h=conj;g=h;constr=conj
+3,0,3,4,1,,1,1,1,h=conj;g=h;constr=conj
+3,1,1,1,3,3,3,3,3,h=conj;g=h;constr=conj
+3,1,2,2,2,2,2,2,2,h=conj;g=h;constr=conj
+4,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
+4,0,1,2,1,1,1,1,1,h=conj;g=h;constr=conj
+4,0,2,3,1,1,1,1,1,h=conj;g=h;constr=conj
+4,0,3,4,1,,1,1,1,h=conj;g=h;constr=conj
+4,0,4,5,1,,1,1,1,h=conj;g=h;constr=conj
+4,1,1,1,4,4,4,4,4,h=conj;g=h;constr=conj
+4,1,2,2,3,3,3,3,3,h=conj;g=h;constr=conj
+4,1,3,3,3,3,3,3,3,h=conj;g=h;constr=conj
+4,2,2,1,6,6,6,6,6,h=conj;g=h;constr=conj
+"""
+GOLDEN_SEARCH_JSON = {
+    "status": "EXACT",
+    "value": 4,
+    "lower": 4,
+    "upper": 4,
+    "witness": {
+        "format": 1,
+        "n": 5,
+        "m": 1,
+        "l": 4,
+        "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
+    },
+    "stats": {"nodes_expanded": 9392},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -175,6 +212,13 @@ class TestSearch:
         )
         assert code == 0 and json.loads(out)["value"] == 5
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--time-limit", "nan"), ("--time-limit", "0"), ("--max-nodes", "0")]
+    )
+    def test_invalid_budget_exits_2(self, capsys, flag, value):
+        code, _, err = run(capsys, "search", "--n", "4", "--m", "1", "--l", "2", flag, value)
+        assert code == 2 and err.startswith("error:")
+
     def test_exhausted_budget_exits_4(self, capsys):
         code, out, _ = run(
             capsys, "search", "--n", "4", "--m", "1", "--l", "2", "--max-nodes", "1"
@@ -226,10 +270,14 @@ class TestReport:
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
     def test_golden_stability(self, capsys):
-        args = ["report", "--n-min", "3", "--n-max", "4", "--m-min", "0", "--m-max", "2"]
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        _, out, _ = run(
+            capsys, "report", "--n-min", "3", "--n-max", "4", "--m-min", "0", "--m-max", "2"
+        )
+        assert out == GOLDEN_REPORT_CSV
+        _, out, _ = run(capsys, "search", "--n", "5", "--m", "1", "--l", "4")
+        data = json.loads(out)
+        del data["stats"]["elapsed_seconds"]
+        assert data == GOLDEN_SEARCH_JSON
 
 
 class TestIdentities:

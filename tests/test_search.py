@@ -76,8 +76,10 @@ class TestExactMinWidth:
         assert exact_min_width(4, 1, 2).value == 3
 
     def test_small_oracle_cross_checks(self):
-        for n, m, l in [(3, 1, 2), (3, 0, 1), (4, 2, 2)]:
+        # Canonical selection prunes every search; the oracles scan all subsets.
+        for n, m, l in [(3, 1, 2), (3, 0, 1), (4, 2, 2), (4, 1, 2), (4, 1, 3)]:
             assert exact_min_width(n, m, l).value == oracle_min_width(n, m, l)
+            assert exact_min_per_level(n, m, l).value == oracle_min_per_level(n, m, l)
 
     def test_one_level_short_of_the_cube(self):
         for n in (3, 4, 5):
@@ -103,6 +105,11 @@ class TestExactMinWidth:
     def test_node_cap_override(self):
         r = exact_min_width(6, 1, 4, node_cap=100)
         assert r.status is SearchStatus.EXACT and r.value == 5
+
+    @pytest.mark.parametrize("nodes", [True, 2.5])
+    def test_node_budget_must_be_an_int(self, nodes):
+        with pytest.raises(DomainError):
+            SearchBudget(nodes, 1.0)
 
     def test_budget_of_one_is_unknown(self):
         r = exact_min_width(4, 1, 2, SearchBudget(1, 60.0))
@@ -167,16 +174,6 @@ class TestReverification:
         monkeypatch.setattr(analysis, "is_cutset", lambda lat, nodes: CutsetReport(False, None))
         with pytest.raises(InternalError, match="failed re-verification"):
             run(4, 1, 2)
-
-
-class TestSymmetryPruning:
-    @pytest.mark.parametrize("n,m,l", [(4, 1, 2), (4, 1, 3), (5, 1, 4), (5, 2, 3)])
-    def test_values_unchanged(self, n, m, l):
-        assert exact_min_width(n, m, l, symmetry=True).value == exact_min_width(n, m, l).value
-        assert (
-            exact_min_per_level(n, m, l, symmetry=True).value
-            == exact_min_per_level(n, m, l).value
-        )
 
 
 class TestSandwich:
