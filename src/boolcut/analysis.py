@@ -9,12 +9,14 @@ the width, and Koenig's theorem turns the matching into an explicit
 maximum antichain.  Both certificates (antichain and chain cover) are
 returned and re-checked on every call.
 
-Cutset membership uses one backward sweep, top level first: a node is
-"live" when it is unselected and the top level can be reached from it
-through unselected covers.  The selection is a cutset exactly when no
-bottom node is live; otherwise a greedy walk up through live nodes, from
-the least live bottom node and always to the least live cover,
-reconstructs the lexicographically least missed maximal chain.
+Cutset membership uses one backward sweep, top level first, that counts
+for every node the untouched chains from it to the top level: 0 on a
+selected node, 1 on an unselected top node, and otherwise the sum over the
+node's covers.  The selection is a cutset exactly when every bottom count
+is 0; otherwise a greedy walk up through nodes with a positive count, from
+the least such bottom node and always to the least such cover,
+reconstructs the lexicographically least missed maximal chain.  The exact
+search reads the same counts for its chain-counting bound.
 """
 
 from __future__ import annotations
@@ -190,52 +192,64 @@ def is_antichain(nodes: Iterable[NodeSet]) -> bool:
     return True
 
 
-def missed_chain_masks(
-    levels: list[list[int]], n: int, selected: set[int]
-) -> Optional[list[int]]:
-    """Mask-level core of the cutset check.
+def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
+    """Positions of each node's covers in the next level, for every level but the top.
 
-    ``levels`` lists the masks of each lattice level, bottom first.
-    Returns None when every maximal chain meets ``selected``; otherwise the
-    lexicographically least untouched maximal chain, bottom to top.
+    ``levels`` lists the masks of each lattice level in ascending order,
+    bottom first.  Each list is ascending, because ``v | bit`` grows with
+    ``bit``, so the first entry of a list is the least cover.
     """
     mask_all = full_mask(n)
-    live: list[set[int]] = [{v for v in levels[-1] if v not in selected}]
-    for lv in levels[-2::-1]:
-        up = live[-1]
-        if not up:
-            return None
-        cur: set[int] = set()
+    out = []
+    for lv, nxt in zip(levels, levels[1:]):
+        pos = {w: j for j, w in enumerate(nxt)}
+        rows = []
         for v in lv:
-            if v in selected:
-                continue
+            row = []
             b = mask_all ^ v
             while b:
                 low = b & -b
-                if v | low in up:
-                    cur.add(v)
-                    break
+                row.append(pos[v | low])
                 b ^= low
-        live.append(cur)
-    if not live[-1]:
-        return None
-    live.reverse()
+            rows.append(row)
+        out.append(rows)
+    return out
 
-    path = [min(live[0])]
-    for idx in range(1, len(levels)):
-        v = path[-1]
-        best = None
-        b = mask_all ^ v
-        while b:
-            low = b & -b
-            w = v | low
-            if w in live[idx] and (best is None or w < best):
-                best = w
-            b ^= low
-        if best is None:
-            raise InternalError(f"missed-chain reconstruction stuck above {v:#x}")
-        path.append(best)
-    return path
+
+def missed_chain_masks(
+    levels: list[list[int]], covers: list[list[list[int]]], selected: set[int]
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """Mask-level core of the cutset check, shared with the exact search.
+
+    ``levels`` lists the masks of each lattice level in ascending order,
+    bottom first, and ``covers`` is ``cover_lists(levels, n)``.  Returns
+    None when every maximal chain meets ``selected``.  Otherwise returns
+    the lexicographically least untouched maximal chain, bottom to top,
+    and the counts ``up``: ``up[i][j]`` is the number of untouched chains
+    from the j-th node of level i to the top level (0 on selected nodes).
+    """
+    up = [0 if v in selected else 1 for v in levels[-1]]
+    counts = [up]
+    for lv, cov in zip(levels[-2::-1], covers[::-1]):
+        if not any(up):
+            return None
+        at = up.__getitem__
+        up = [0 if v in selected else sum(map(at, cs)) for v, cs in zip(lv, cov)]
+        counts.append(up)
+    if not any(up):
+        return None
+    counts.reverse()
+
+    j = next(j for j, c in enumerate(counts[0]) if c)
+    path = [levels[0][j]]
+    for lv, cov, cnt in zip(levels[1:], covers, counts[1:]):
+        for j in cov[j]:
+            if cnt[j]:
+                break
+        else:
+            raise InternalError(f"missed-chain reconstruction stuck above {path[-1]:#x}")
+        path.append(lv[j])
+    return path, counts
 
 
 def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet]) -> CutsetReport:
@@ -255,7 +269,7 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet]) -> CutsetReport:
             )
         selected.add(a.bits)
     levels = [level_masks(lat.n, i) for i in lat.levels]
-    path = missed_chain_masks(levels, lat.n, selected)
-    if path is None:
+    found = missed_chain_masks(levels, cover_lists(levels, lat.n), selected)
+    if found is None:
         return CutsetReport(True, None)
-    return CutsetReport(False, Chain(tuple(NodeSet(v, lat.n) for v in path)))
+    return CutsetReport(False, Chain(tuple(NodeSet(v, lat.n) for v in found[0])))

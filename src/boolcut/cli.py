@@ -19,7 +19,7 @@ from typing import Optional
 from . import analysis, constructions, formulas, search
 from .constructions import Cutset
 from .errors import DomainError, InternalError
-from .lattice import TruncatedLattice
+from .lattice import MAX_GROUND, TruncatedLattice
 from .search import SearchBudget, SearchStatus
 
 _REPORT_HEADER = [
@@ -203,6 +203,9 @@ def report_rows(n_values, m_values, budget, node_cap):
 def cmd_report(args) -> int:
     if args.n_min > args.n_max or args.m_min > args.m_max or args.m_min < 0:
         raise DomainError("empty or negative parameter range")
+    # Checked before the first row, so a bad range writes no partial CSV.
+    if args.n_max > MAX_GROUND:
+        raise DomainError(f"n ranges up to {args.n_max}, above the largest ground set {MAX_GROUND}")
     rows = report_rows(
         range(args.n_min, args.n_max + 1),
         range(args.m_min, args.m_max + 1),

@@ -16,12 +16,27 @@ per-level objective keeps plain counters.  Both objectives only grow as
 nodes are added, so a branch whose objective exceeds the target is cut.
 A visited-set skips selections already proven infeasible at the current
 target, which only removes work (feasible selections are never recorded).
+Each result counts its prunes by reason: ``objective``, ``chain_bound``
+and ``memo`` (a visited-set hit).
 
 Only canonical selections are searched: for each lowest occupied level i
 in m..l in turn, the node {1..i} is pinned and candidates below level i are
 skipped.  This is sound because a permutation of [n] preserves inclusion,
 levels and maximal chains, so relabelling any cutset to move one of its
 lowest nodes onto {1..i} keeps it a cutset with the same objective.
+
+A chain-counting bound (the LYM argument of Yamamoto and Lubell, applied
+to the chains still unhit) cuts selections that cannot be completed.  Two
+path counts over the unselected nodes give ``up[v]``, the unhit chains
+from v to level l, and ``down[v]``, those from level m to v; U, the sum of
+``up`` over level m, counts all unhit chains, and ``down[v] * up[v]`` of
+them pass through v.  Every level is an antichain, so a completion with
+objective <= k (width or per-level count) adds at most ``k - count_i``
+nodes on level i, and none below the pinned level.  Each unhit chain needs
+an added node, so when the largest allowed products on each level sum to
+less than U no completion exists and the selection is cut.  The same
+``up`` sweep finds the least missed chain (``analysis.missed_chain_masks``),
+so the bound adds one forward sweep and one sort per level.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -35,10 +50,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Optional
 
 from . import analysis, formulas
-from .analysis import InclusionMatcher, missed_chain_masks
+from .analysis import InclusionMatcher, cover_lists, missed_chain_masks
 from .chains import Chain
 from .constructions import Cutset, method_counts
 from .errors import DomainError, InternalError
@@ -79,7 +95,8 @@ class SearchResult:
     EXACT implies lower == value == upper and a witness that has been
     re-verified (it is a cutset and attains the value).  The witness
     stores the selected nodes as singleton chains; it need not admit a
-    saturated chain cover of minimum size.
+    saturated chain cover of minimum size.  ``prunes`` counts the cut
+    branches by reason: ``objective``, ``chain_bound`` and ``memo``.
     """
 
     status: SearchStatus
@@ -88,6 +105,7 @@ class SearchResult:
     upper: int
     witness: Optional[Cutset]
     nodes_expanded: int
+    prunes: dict[str, int]
     elapsed: float
 
     def to_json(self) -> dict:
@@ -99,6 +117,7 @@ class SearchResult:
             "witness": None if self.witness is None else self.witness.to_json(),
             "stats": {
                 "nodes_expanded": self.nodes_expanded,
+                "prunes": dict(self.prunes),
                 "elapsed_seconds": round(self.elapsed, 6),
             },
         }
@@ -109,12 +128,13 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    __slots__ = ("max_nodes", "deadline", "expanded")
+    __slots__ = ("max_nodes", "deadline", "expanded", "prunes")
 
     def __init__(self, budget: SearchBudget) -> None:
         self.max_nodes = budget.max_nodes_expanded
         self.deadline = time.monotonic() + budget.wall_clock_limit
         self.expanded = 0
+        self.prunes = {"objective": 0, "chain_bound": 0, "memo": 0}
 
     def tick(self) -> None:
         self.expanded += 1
@@ -151,7 +171,40 @@ class _PerLevelGoal:
         self._counts[v.bit_count()] -= 1
 
 
-def _decide(levels, n, limit, goal_cls, bud, lowest) -> Optional[list[int]]:
+def _lower_covers(levels, covers) -> list[list[list[int]]]:
+    """Positions of each node's lower covers, for every level but the bottom."""
+    below = [[[] for _ in lv] for lv in levels[1:]]
+    for cov, rows in zip(covers, below):
+        for j, cs in enumerate(cov):
+            for c in cs:
+                rows[c].append(j)
+    return below
+
+
+def _short_of_chains(up, below, room) -> bool:
+    """True when no allowed completion can hit every unhit chain.
+
+    ``up`` is the per-level count of unhit chains from each node to the top
+    level, ``below`` the positions of each node's lower covers and ``room``
+    the most nodes a completion may still add on each level.  Exactly
+    ``down[v] * up[v]`` unhit chains pass through v, where ``down[v]``
+    counts unhit chains from the bottom level to v.
+    """
+    total = sum(up[0])
+    down = [1 if u else 0 for u in up[0]]
+    reach = sum(sorted(up[0], reverse=True)[: room[0]])
+    for ups, bs, r in zip(up[1:], below, room[1:]):
+        if reach >= total:
+            return False
+        # A node with no unhit chain above it feeds no node that has one.
+        at = down.__getitem__
+        down = [sum(map(at, b)) if u else 0 for u, b in zip(ups, bs)]
+        if r:
+            reach += sum(sorted(map(mul, down, ups), reverse=True)[:r])
+    return reach < total
+
+
+def _decide(levels, covers, below, limit, goal_cls, bud, lowest) -> Optional[list[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The node {1..lowest} is pinned and candidates below ``lowest`` are
@@ -159,36 +212,59 @@ def _decide(levels, n, limit, goal_cls, bud, lowest) -> Optional[list[int]]:
     lowest level is ``lowest`` onto {1..lowest} without changing its
     objective, and branching on the least missed chain is exhaustive among
     cutsets holding the current selection.  The pinned node is in every
-    selection here, so memo keys leave it out.  Returns the selection in
-    insertion order, or None when no such selection exists.
+    selection here, so memo keys leave it out.
+
+    A selection is also cut when the nodes it may still add cannot hit all
+    of its U unhit chains (see ``_short_of_chains``).  Sound: a level is an
+    antichain, so an objective <= limit (width or per-level count) allows
+    at most ``limit - count_i`` more nodes on level i, and none below
+    ``lowest``; every unhit chain needs one added node, and an added node v
+    hits exactly ``down[v] * up[v]`` of them.  If the largest allowed such
+    products sum to less than U, no completion exists, so the selection is
+    infeasible and goes into the memo.  Returns the selection in insertion
+    order, or None when no such selection exists.
     """
+    m = levels[0][0].bit_count()
     pinned = (1 << lowest) - 1
     goal = goal_cls()
     goal.push(pinned)
     selected = {pinned}
     order = [pinned]
+    room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
+    room[lowest - m] -= 1
     seen: set[frozenset[int]] = set()
+    prunes = bud.prunes
 
     def dfs() -> bool:
         bud.tick()
         key = frozenset(order[1:])
         if key in seen:
+            prunes["memo"] += 1
             return False
-        path = missed_chain_masks(levels, n, selected)
-        if path is None:
+        found = missed_chain_masks(levels, covers, selected)
+        if found is None:
             return True
         seen.add(key)
+        path, up = found
+        if _short_of_chains(up, below, room):
+            prunes["chain_bound"] += 1
+            return False
         for v in path:
-            if v.bit_count() < lowest:
+            i = v.bit_count()
+            if i < lowest:
                 continue
-            metric = goal.push(v)
-            selected.add(v)
-            order.append(v)
-            if metric <= limit and dfs():
-                return True
+            if goal.push(v) > limit:
+                prunes["objective"] += 1
+            else:
+                selected.add(v)
+                order.append(v)
+                room[i - m] -= 1
+                if dfs():
+                    return True
+                selected.remove(v)
+                order.pop()
+                room[i - m] += 1
             goal.pop(v)
-            selected.remove(v)
-            order.pop()
         return False
 
     return order if dfs() else None
@@ -209,6 +285,8 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
             "raise the cap to search anyway"
         )
     levels = [level_masks(n, i) for i in range(m, l + 1)]
+    covers = cover_lists(levels, n)
+    below = _lower_covers(levels, covers)
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
     # Any single level between m and l is itself a cutset, which bounds both
@@ -218,7 +296,7 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
     try:
         while target <= trivial_upper:
             for lowest in range(m, l + 1):
-                selection = _decide(levels, n, target, goal_cls, bud, lowest)
+                selection = _decide(levels, covers, below, target, goal_cls, bud, lowest)
                 if selection is None:
                     continue
                 wit = _witness(n, m, l, selection)
@@ -229,7 +307,8 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
                     )
                 elapsed = time.monotonic() - start
                 return SearchResult(
-                    SearchStatus.EXACT, target, target, target, wit, bud.expanded, elapsed
+                    SearchStatus.EXACT, target, target, target, wit, bud.expanded,
+                    bud.prunes, elapsed,
                 )
             target += 1
         raise InternalError("deepening exceeded the trivial upper bound")
@@ -237,7 +316,7 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
         elapsed = time.monotonic() - start
         status = SearchStatus.BOUNDS if target > 1 else SearchStatus.UNKNOWN
         return SearchResult(
-            status, None, target, trivial_upper, None, bud.expanded, elapsed
+            status, None, target, trivial_upper, None, bud.expanded, bud.prunes, elapsed
         )
 
 

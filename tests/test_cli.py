@@ -40,7 +40,10 @@ GOLDEN_SEARCH_JSON = {
         "l": 4,
         "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
     },
-    "stats": {"nodes_expanded": 9392},
+    "stats": {
+        "nodes_expanded": 6435,
+        "prunes": {"objective": 5307, "chain_bound": 1818, "memo": 1667},
+    },
 }
 
 
@@ -241,6 +244,15 @@ class TestReport:
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "report", "--n-min", "5", "--n-max", "3")
         assert code == 2
+
+    def test_range_past_the_ground_cap_exits_2_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "r.csv"
+        code, _, err = run(
+            capsys, "report", "--n-min", "64", "--n-max", "65", "--m-min", "0",
+            "--m-max", "1", "--out", str(path),
+        )
+        assert code == 2 and "65" in err
+        assert not path.exists()
 
     def test_tiny_budget_reports_unknown_but_exits_0(self, capsys):
         code, out, _ = run(

@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolcut import (
     CutsetReport,
@@ -17,9 +19,10 @@ from boolcut import (
     per_level_bound_value,
     width,
 )
-from boolcut import analysis
+from boolcut import analysis, search
+from boolcut.lattice import level_masks
 
-from helpers import brute_force_width, mask_of, naive_is_cutset
+from helpers import brute_force_width, iter_maximal_chains, mask_of, naive_is_cutset
 
 
 def lattice_masks(n, m, l):
@@ -29,45 +32,53 @@ def lattice_masks(n, m, l):
     return out
 
 
-def oracle_min_width(n, m, l):
-    """Smallest cutset width, by scanning node subsets in order of size.
+def completions(chains, selected, allowed):
+    """Every cutset grown from ``selected`` by nodes that ``allowed`` accepts.
 
-    A cutset of width w is covered by w ascending runs, each holding at
-    most l - m + 1 lattice nodes, so any width better than the best found
-    must appear within size (best - 1) * (l - m + 1); past that the scan
-    can stop.
+    ``allowed(v, counts)`` sees the per-level counts of the set so far.
+    Branches on the first chain the set misses: a cutset containing the
+    set must contain one of that chain's nodes, so every cutset that holds
+    ``selected`` and whose added nodes pass ``allowed`` contains one of the
+    yielded sets.
     """
-    pool = lattice_masks(n, m, l)
-    levels = l - m + 1
-    best = None
-    for r in range(len(pool) + 1):
-        for combo in combinations(pool, r):
-            if naive_is_cutset(n, m, l, combo):
-                w = brute_force_width(combo)
-                if best is None or w < best:
-                    best = w
-        if best is not None and r >= (best - 1) * levels:
-            break
+    counts = Counter(v.bit_count() for v in selected)
+
+    def grow(chosen):
+        missed = next((ch for ch in chains if chosen.isdisjoint(ch)), None)
+        if missed is None:
+            yield chosen
+            return
+        for v in missed:
+            if allowed(v, counts):
+                counts[v.bit_count()] += 1
+                yield from grow(chosen | {v})
+                counts[v.bit_count()] -= 1
+
+    yield from grow(frozenset(selected))
+
+
+def oracle_min(n, m, l, objective):
+    """Smallest objective over all cutsets, by exhaustive hitting-set branching.
+
+    Both objectives only grow with the set, and any cutset contains one of
+    the sets ``completions`` yields, so the minimum is attained there.  A
+    branch is cut once some level holds ``best`` nodes: a level is an
+    antichain, so both objectives are then at least ``best``.
+    """
+    chains = list(iter_maximal_chains(n, m, l))
+    best = len(lattice_masks(n, m, l))
+    for cut in completions(chains, (), lambda v, counts: counts[v.bit_count()] + 1 < best):
+        assert naive_is_cutset(n, m, l, cut)
+        best = min(best, objective(cut))
     return best
+
+
+def oracle_min_width(n, m, l):
+    return oracle_min(n, m, l, brute_force_width)
 
 
 def oracle_min_per_level(n, m, l):
-    """Smallest per-level bound; same size cutoff as oracle_min_width."""
-    pool = lattice_masks(n, m, l)
-    levels = l - m + 1
-    best = None
-    for r in range(len(pool) + 1):
-        for combo in combinations(pool, r):
-            if naive_is_cutset(n, m, l, combo):
-                counts = [0] * levels
-                for v in combo:
-                    counts[bin(v).count("1") - m] += 1
-                k = max(counts) if combo else 0
-                if best is None or k < best:
-                    best = k
-        if best is not None and r >= (best - 1) * levels:
-            break
-    return best
+    return oracle_min(n, m, l, lambda cut: max(Counter(v.bit_count() for v in cut).values()))
 
 
 class TestExactMinWidth:
@@ -76,8 +87,9 @@ class TestExactMinWidth:
         assert exact_min_width(4, 1, 2).value == 3
 
     def test_small_oracle_cross_checks(self):
-        # Canonical selection prunes every search; the oracles scan all subsets.
-        for n, m, l in [(3, 1, 2), (3, 0, 1), (4, 2, 2), (4, 1, 2), (4, 1, 3)]:
+        # Canonical selection and the chain bound prune every search; the
+        # oracles branch over all cutsets.
+        for n, m, l in [(3, 1, 2), (3, 0, 1), (4, 2, 2), (4, 1, 2), (4, 1, 3), (5, 2, 3), (5, 1, 3)]:
             assert exact_min_width(n, m, l).value == oracle_min_width(n, m, l)
             assert exact_min_per_level(n, m, l).value == oracle_min_per_level(n, m, l)
 
@@ -153,6 +165,60 @@ class TestExactMinPerLevel:
             g = exact_min_per_level(n, m, l).value
             h = exact_min_width(n, m, l).value
             assert g <= h
+
+
+class TestChainBound:
+    """The chain-counting prune of the search, against exhaustive branching."""
+
+    @staticmethod
+    def prunes(n, m, l, selected, lowest, k):
+        levels = [level_masks(n, i) for i in range(m, l + 1)]
+        covers = analysis.cover_lists(levels, n)
+        found = analysis.missed_chain_masks(levels, covers, selected)
+        counts = Counter(v.bit_count() for v in selected)
+        room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
+        below = search._lower_covers(levels, covers)
+        return found, found is not None and search._short_of_chains(found[1], below, room)
+
+    def test_prunes_below_the_optimum(self):
+        # h(4,1,2) = 3: with at most 2 nodes per level, the 12 chains of
+        # B_4(1,2) cannot all be hit (3 + 3 + 2 + 2 = 10 at best).
+        assert self.prunes(4, 1, 2, set(), 1, 2)[1]
+        assert not self.prunes(4, 1, 2, set(), 1, 3)[1]
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_selection_has_no_completion(self, n, data):
+        m = data.draw(st.integers(0, n // 2))
+        l = data.draw(st.integers(m, n - m))
+        lowest = data.draw(st.integers(m, l))
+        pool = lattice_masks(n, m, l)
+        selected = set(data.draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
+        counts = Counter(v.bit_count() for v in selected)
+        widest = max(len(level_masks(n, i)) for i in range(m, l + 1))
+        least_k = max([1] + [counts[i] for i in range(lowest, l + 1)])
+        k = data.draw(st.integers(least_k, max(least_k, widest)))
+
+        found, pruned = self.prunes(n, m, l, selected, lowest, k)
+        chains = list(iter_maximal_chains(n, m, l))
+        unhit = [ch for ch in chains if selected.isdisjoint(ch)]
+        if found is None:
+            assert not unhit
+            return
+        path, up = found
+        assert tuple(path) == min(unhit)
+        for i, lv in zip(range(m, l + 1), up):
+            starts = [ch[0] for ch in iter_maximal_chains(n, i, l) if selected.isdisjoint(ch)]
+            assert lv == [starts.count(v) for v in level_masks(n, i)]
+        if pruned:
+            # Width is at least the count on any level, so no completion with
+            # at most k nodes per level also rules out width <= k.
+            allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k
+            cut = next(completions(chains, selected, allowed), None)
+            assert cut is None, (
+                f"pruned, but {sorted(cut)} is a cutset of width "
+                f"{brute_force_width(cut)} with at most {k} nodes per level"
+            )
 
 
 class TestReverification:
