@@ -7,7 +7,10 @@ graph with a lower and an upper copy of S and an edge u -> v whenever
 u is a proper subset of v.  By Dilworth's theorem that chain count equals
 the width, and Koenig's theorem turns the matching into an explicit
 maximum antichain.  Both certificates (antichain and chain cover) are
-returned and re-checked on every call.
+returned and re-checked on every call.  ``width`` builds the whole graph
+at once, each node's proper subsets found by submask lookup, and matches
+it in one greedy pass; ``InclusionMatcher`` keeps the same matching under
+push and pop and serves only the incremental exact search.
 
 Cutset membership uses one backward sweep, top level first, that counts
 for every node the untouched chains from it to the top level: 0 on a
@@ -22,7 +25,7 @@ search reads the same counts for its chain-counting bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, augment
 from .errors import DomainError, InternalError
@@ -68,7 +71,9 @@ class InclusionMatcher:
 
     Adjacency lists are kept in insertion order, which fixes the
     augmenting-path search order and therefore the matching itself; the
-    width value is independent of insertion order.
+    width value is independent of insertion order.  Only the exact search
+    uses this class: ``width`` matches a whole family in bulk.  Its
+    augmentations pass no dead marks, because pop() undoes mate changes.
     """
 
     def __init__(self) -> None:
@@ -129,6 +134,29 @@ def _shared_ground(nodes: Iterable[NodeSet]) -> tuple[list[int], int]:
     return sorted(masks), max(n, 0)
 
 
+def _proper_subsets(masks: list[int]) -> Iterator[list[int]]:
+    """For each mask of the ascending list ``masks``, its proper subsets in the list.
+
+    Each yielded list is ascending.  A mask v has 2**popcount(v) submasks,
+    enumerated by ``s = (s - 1) & v`` and looked up in a set; when that
+    exceeds the number of earlier masks, which are the only candidates,
+    scanning those is cheaper.  Both routes give the same list.
+    """
+    present = set(masks)
+    for i, v in enumerate(masks):
+        if 1 << v.bit_count() > i:
+            yield [u for u in masks[:i] if u & ~v == 0]
+            continue
+        subs = []
+        s = v
+        while s:
+            s = (s - 1) & v
+            if s in present:
+                subs.append(s)
+        subs.reverse()
+        yield subs
+
+
 def width(nodes: Iterable[NodeSet]) -> WidthReport:
     """Width of a finite family of subsets, with certificates.
 
@@ -136,42 +164,56 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
     and a partition of the input into that many ascending runs.  The two
     certificate sizes are equal by Dilworth's theorem; the equality and
     the certificates themselves are re-verified before returning.
+
+    The graph is built once, by ``_proper_subsets``, and matched in one
+    greedy pass in ascending mask order: an augmenting search from the
+    upper copy of each node through its ``below`` list, with dead marks
+    kept across failed searches (see ``chains.augment``).  This is the
+    matching that ``InclusionMatcher.push`` reaches for the same order.
     """
     masks, n = _shared_ground(nodes)
-    matcher = InclusionMatcher()
+    below = dict(zip(masks, _proper_subsets(masks)))
+    above: dict[int, list[int]] = {v: [] for v in masks}
     for v in masks:
-        matcher.push(v)
-    w = matcher.width
+        for u in below[v]:
+            above[u].append(v)
+    pair_up: dict[int, int] = {}
+    pair_down: dict[int, int] = {}
+    dead: set[int] = set()
+    for v in masks:
+        if augment(v, below, pair_up, pair_down, dead=dead):
+            dead.clear()
+    w = len(masks) - len(pair_up)
 
     # Koenig: alternate from unmatched lower copies; the antichain is the
     # set of nodes whose lower copy is reached and upper copy is not.
-    z_low = {u for u in masks if u not in matcher.pair_up}
+    z_low = {u for u in masks if u not in pair_up}
     z_up: set[int] = set()
     stack = sorted(z_low)
     while stack:
         u = stack.pop()
-        for x in matcher.above[u]:
+        for x in above[u]:
             if x in z_up:
                 continue
             z_up.add(x)
-            mate = matcher.pair_down.get(x)
+            mate = pair_down.get(x)
             if mate is not None and mate not in z_low:
                 z_low.add(mate)
                 stack.append(mate)
     antichain = [u for u in masks if u in z_low and u not in z_up]
 
-    heads = [u for u in masks if u not in matcher.pair_down]
+    heads = [u for u in masks if u not in pair_down]
     cover: list[tuple[int, ...]] = []
     for h in heads:
         seq = [h]
-        while seq[-1] in matcher.pair_up:
-            seq.append(matcher.pair_up[seq[-1]])
+        while seq[-1] in pair_up:
+            seq.append(pair_up[seq[-1]])
         cover.append(tuple(seq))
 
     if not (
         len(antichain) == w == len(cover)
         and sorted(x for seq in cover for x in seq) == masks
-        and all(a & ~b and b & ~a for i, a in enumerate(antichain) for b in antichain[:i])
+        and not any(_proper_subsets(antichain))
     ):
         raise InternalError(f"width certificates of {len(masks)} nodes do not verify")
 
@@ -185,11 +227,7 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
 def is_antichain(nodes: Iterable[NodeSet]) -> bool:
     """True when no member properly contains another."""
     masks, _ = _shared_ground(nodes)
-    for i, a in enumerate(masks):
-        for b in masks[:i]:
-            if a & ~b == 0 or b & ~a == 0:
-                return False
-    return True
+    return not any(_proper_subsets(masks))
 
 
 def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:

@@ -133,7 +133,8 @@ def _symmetric_chain_masks(k: int) -> list[list[int]]:
 
 
 def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, int],
-            left_mate: dict[int, int], log: Optional[list] = None) -> bool:
+            left_mate: dict[int, int], log: Optional[list] = None,
+            dead: Optional[set[int]] = None) -> bool:
     """Kuhn's alternating-path search from the unmatched left node ``start``.
 
     ``adjacent`` maps left nodes to right nodes in search order; the two
@@ -142,8 +143,25 @@ def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, in
     change is appended as ``(dict, key, old)``, with old None for a key
     that was absent, so the caller can undo it.  Iterative, because
     levels can hold thousands of nodes.
+
+    ``dead``, owned by the caller, carries the right nodes of failed
+    searches into the next search of one greedy pass: the search skips
+    them, a failure leaves every right node it visited in the set, and
+    the caller must clear it after every success.  Soundness: a failed
+    search visits every right node reachable from its start by
+    alternating paths, and none of them is free.  A failure changes no
+    mate.  A greedy pass may add left nodes with new edges (the next
+    starts), but it leaves the edges of the left nodes already present as
+    they were, and an alternating path leaves a right node only through
+    its mate, a matched left node that was present at the failure.  So
+    until the next success every node in ``dead`` still reaches no free
+    node, and skipping it is the same as exploring it and failing: the
+    visits outside ``dead`` happen in the same order, and the search
+    flips the same first path.  A caller that changes old edges or undoes
+    mate changes (``InclusionMatcher.pop``) breaks the argument and must
+    pass no ``dead``.
     """
-    visited: set[int] = set()
+    visited: set[int] = set() if dead is None else dead
     parent: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = [(start, iter(adjacent[start]))]
     while stack:
@@ -199,14 +217,21 @@ def _bounded_chain_masks(k: int, c: int) -> list[list[int]]:
         pair_node: dict[int, int] = {}
         constrained = sorted((y for y in nodes if maxpred[y] >= 1),
                              key=lambda y: (-maxpred[y], y))
+        # The two window passes share a graph and a matching, so one set of
+        # dead marks serves both; the wide pass has more edges and starts afresh.
+        dead: set[int] = set()
         for y in constrained:
-            augment(y, window, pair_pred, pair_node)
+            if augment(y, window, pair_pred, pair_node, dead=dead):
+                dead.clear()
         for y in nodes:
             if maxpred[y] == 0 and y not in pair_node:
-                augment(y, window, pair_pred, pair_node)
+                if augment(y, window, pair_pred, pair_node, dead=dead):
+                    dead.clear()
+        dead = set()
         for y in nodes:
             if y not in pair_node:
-                augment(y, wide, pair_pred, pair_node)
+                if augment(y, wide, pair_pred, pair_node, dead=dead):
+                    dead.clear()
         new_age = {}
         for y in nodes:
             p = pair_node.get(y)

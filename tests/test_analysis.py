@@ -121,10 +121,52 @@ class TestWidth:
         assert rep.width <= cut.chain_count
 
 
+def pairwise_antichain(masks):
+    return not any(a != b and a & ~b == 0 for a in masks for b in masks)
+
+
+# Small grounds hold many low-popcount masks, so submasks are looked up;
+# n = 20 with few, mostly high-popcount masks makes the earlier masks scanned.
+families = st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, 2**n - 1), max_size=40))
+    ),
+    st.tuples(st.just(20), st.sets(st.integers(0, 2**20 - 1), max_size=10)),
+)
+
+
 class TestIsAntichain:
     def test_examples(self):
         assert is_antichain([node([], 3)])
         assert not is_antichain([node([1], 3), node([1, 2], 3)])
+        assert not is_antichain([node([], 20), node(range(1, 21), 20)])
+        assert is_antichain([node(range(1, 20), 20), node(range(2, 21), 20)])
+
+    @given(families)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_definition(self, family):
+        n, masks = family
+        assert is_antichain(nodes_from_masks(masks, n)) == pairwise_antichain(masks)
+
+    @given(families)
+    @settings(max_examples=200, deadline=None)
+    def test_proper_subset_lists_match_pairwise(self, family):
+        from boolcut.analysis import _proper_subsets
+
+        n, masks = family
+        masks = sorted(masks)
+        want = [[u for u in masks if u != v and u & ~v == 0] for v in masks]
+        assert list(_proper_subsets(masks)) == want
+
+    def test_both_routes_are_taken(self):
+        from boolcut.analysis import _proper_subsets
+
+        # In 0..8, mask 7 has 8 submasks against 7 earlier masks (scanned)
+        # and mask 8 has 2 against 8 (looked up); the 20-bit full mask has
+        # 2**20 submasks against 2 earlier masks (scanned).
+        subsets = list(_proper_subsets(list(range(9))))
+        assert subsets[7] == [0, 1, 2, 3, 4, 5, 6] and subsets[8] == [0]
+        assert list(_proper_subsets([1, 2, 2**20 - 1]))[-1] == [1, 2]
 
     def test_fourcolor_bottoms(self):
         bottoms = [ch.bottom for ch in cutset_fourcolor(6, 1).chains]
@@ -132,6 +174,40 @@ class TestIsAntichain:
 
 
 class TestIncrementalMatcher:
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_width_matches_ascending_pushes(self, n, data):
+        from boolcut.analysis import InclusionMatcher
+
+        masks = sorted(data.draw(st.sets(st.integers(0, 2**n - 1), max_size=30)))
+        matcher = InclusionMatcher()
+        for v in masks:
+            matcher.push(v)
+        rep = width(nodes_from_masks(masks, n))
+        pair_up = {lo.bits: hi.bits for seq in rep.chain_cover for lo, hi in zip(seq, seq[1:])}
+        assert pair_up == matcher.pair_up
+
+    def test_pushes_pass_no_dead_marks(self, monkeypatch):
+        # pop() undoes mate changes, which the dead-mark argument forbids.
+        import inspect
+
+        from boolcut import analysis
+
+        augment = analysis.augment
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(augment).bind(*args, **kwargs).arguments.get("dead"))
+            return augment(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "augment", spy)
+        matcher = analysis.InclusionMatcher()
+        for v in (0b001, 0b011, 0b010, 0b111):
+            matcher.push(v)
+        matcher.pop()
+        matcher.push(0b100)
+        assert calls and calls == [None] * len(calls)
+
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_width_tracks_brute_force_through_push_pop(self, n, data):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +15,7 @@ from boolcut import (
     bounded_chain_partition,
     start_level_counts,
 )
+from boolcut.chains import augment
 
 from helpers import pascal
 
@@ -86,6 +92,12 @@ class TestBoundedChainPartition:
         assert bounded_chain_partition(7, 3) == bounded_chain_partition(7, 3)
         assert bounded_chain_partition(8, 5) == bounded_chain_partition(8, 5)
 
+    @pytest.mark.xfail(strict=True, reason="k = 14 leaves the top node as a singleton chain")
+    def test_middle_cap_at_k14_uses_the_middle_level_count(self):
+        p = bounded_chain_partition(14, 8)
+        assert len(p.chains) == pascal(14, 7)
+        assert all(ch.bottom.level <= 7 for ch in p.chains)
+
 
 class TestStartLevelCounts:
     def test_small_cases(self):
@@ -135,3 +147,43 @@ class TestChainPartitionType:
     def test_serialization_shape(self):
         p = bounded_chain_partition(2, 2)
         assert p.to_json() == [[[], [1]], [[2], [1, 2]]]
+
+
+class TestAugmentDeadMarks:
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_pass_is_unchanged_by_dead_marks(self, n_left, n_right, data):
+        # Random bipartite graph; starts drawn with repeats, as a second
+        # pass over the same graph would restart unmatched left nodes.
+        right = st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right)
+        adjacent = {x: data.draw(right) for x in range(n_left)}
+        starts = data.draw(st.lists(st.integers(0, n_left - 1), max_size=3 * n_left))
+        plain = ({}, {}, [])
+        marked = ({}, {}, [])
+        dead = set()
+        for x in starts:
+            if x in plain[1]:
+                continue
+            plain[2].append(augment(x, adjacent, plain[0], plain[1]))
+            ok = augment(x, adjacent, marked[0], marked[1], dead=dead)
+            marked[2].append(ok)
+            if ok:
+                dead.clear()
+        assert marked == plain
+
+
+def test_partition_properties_script_reports_every_property():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "partition_properties.py"), "--max-m", "5"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(6))
+    for m, chains, middle, _, starts_ok, monotone in rows:
+        assert chains == middle == str(pascal(2 * int(m), int(m)))
+        assert starts_ok == monotone == "True"

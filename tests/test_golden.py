@@ -1,0 +1,93 @@
+"""Byte-for-byte parity of the bulk width matching and the chain partition.
+
+The digests below were recorded from the width and partition code before
+the submask-lookup graph build and the dead marks of ``chains.augment``
+went in; both changes must leave every matching, and so every
+certificate and chain, exactly as it was.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from boolcut import (
+    NodeSet,
+    bounded_chain_partition,
+    cutset_auto,
+    cutset_bicolor,
+    cutset_fourcolor,
+    cutset_level,
+    cutset_product,
+    width,
+)
+
+# The cutsets that the certify workload of the benchmark verifies.
+CUTSETS = {
+    "level(16,5)": lambda: cutset_level(16, 5),
+    "bicolor(16,5)": lambda: cutset_bicolor(16, 5),
+    "fourcolor(16,4)": lambda: cutset_fourcolor(16, 4),
+    "product(16,4,8)": lambda: cutset_product(16, 4, 8),
+    "auto(14,3,9)": lambda: cutset_auto(14, 3, 9),
+}
+
+WIDTH_DIGESTS = {
+    "level(16,5)": "f787e73b339ae88615b2d96c07283d3dd6541500c3cf6dee748812ca0faa3fe9",
+    "level(16,5) half": "efe044b9882881fc3a918c479c9ab8493cbd847288c35a04f63128fe4841da2b",
+    "bicolor(16,5)": "78fa18be8750389c4b5b11f69af438a51113a3fcaeb4d663642ae1db395a7763",
+    "bicolor(16,5) half": "64cf2b5a9cb7c0f42f253c3dd1dd5a5ecc8d10f3f38c1ea838cb965f79582c7f",
+    "fourcolor(16,4)": "2fe24924657e5028a5477021ac4ae069de946b5fd075d121808d1660e36711e2",
+    "fourcolor(16,4) half": "b7daca097b8dcfc74565a0f46d72a03eb5ab5fef55d144aec94749700cd1e131",
+    "product(16,4,8)": "b20bc1e6611c7a09113453708494b52031420a9e3dd751fe089cb4476e208c2b",
+    "product(16,4,8) half": "b9db406064794002517d7de843a5482415e458cb34a1b8ea4c9eee3beae8aa8d",
+    "auto(14,3,9)": "48ecdc2231c081e5f0b475e12b9b66a5d23c8de8d9e53c87e7ddb981853516c9",
+    "auto(14,3,9) half": "f6ed1ea6e9e5ce502ca38b85cf49ed967a38734abfdd71a72cac8416dd237449",
+}
+
+# One digest per k over bounded_chain_partition(k, c) for c = 1..k+1.
+PARTITION_DIGESTS = {
+    0: "de3132b0660d0664c7c64bf3062ed48af77370bab34b0bd5067b183c6d0395b2",
+    1: "e659e91db74de2b50376576d6d56071d1800776cc3a6b6eb0a662a40978d54b1",
+    2: "fbcfe9b239651259382792146945c698074ddf06c6c07b98b9fcfeb7de05071f",
+    3: "97ebe5784e61cdbaa3dee61581b9cf1635b0c35a312019d153ae75800969f772",
+    4: "d8d61823f0ce07e6d06a02ed234226419e27ddeb377258c16ca70e254b9ae42c",
+    5: "13737b0afdd739780fc2acab0a82244041cfb623de17a5d45bbf42efc3d61b8f",
+    6: "03730621962b2097f17c50a22874462eab573cac4dc1a24e5a3abaaf1762148d",
+    7: "5a3048359e1ebbdc8c4ffd622c716cdf652981e353ba3fdcdbaa18e976cbcf94",
+    8: "288ceae8f0d263a6eb261490681ff9451e762c4c1b85d1f67af86ca5f946c9fc",
+    9: "dbb506ace543a7adf5f34bc35ed866dde8a1cf4bf258842bdc6397de17b5b0d4",
+    10: "0fdde23bd36c52d5162a5783ed0b731b67a63e3e5e65abf6d58a6dc03fda6e2f",
+    11: "669a06f0a80de3da914089b450d5e84f388d5c3b49e9c7a52457e583a10abb4d",
+    12: "7a8b2f4db62b9b91030b41adb941a44d8c8d42590d8041121ce77c6e6350e8a6",
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def width_digests(name):
+    cut = CUTSETS[name]()
+    masks = sorted(cut.node_masks())
+    rng = random.Random(len(masks))
+    half = [v for v in masks if rng.random() < 0.5]
+    return {
+        name: digest(width([NodeSet(v, cut.lat.n) for v in masks]).to_json()),
+        f"{name} half": digest(width([NodeSet(v, cut.lat.n) for v in half]).to_json()),
+    }
+
+
+def partition_digest(k):
+    return digest([bounded_chain_partition(k, c).to_json() for c in range(1, k + 2)])
+
+
+@pytest.mark.parametrize("name", list(CUTSETS))
+def test_width_is_byte_identical(name):
+    got = width_digests(name)
+    assert got == {key: WIDTH_DIGESTS[key] for key in got}
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_partition_is_byte_identical(k):
+    assert partition_digest(k) == PARTITION_DIGESTS[k]
