@@ -90,7 +90,7 @@ def cmd_construct(args) -> int:
     }
     payload = json.dumps(cut.to_json())
     if args.out:
-        with open(args.out, "w") as f:
+        with _open_out(args.out) as f:
             f.write(payload + "\n")
         print(json.dumps(summary))
     else:
@@ -226,6 +226,13 @@ def cmd_identities(args) -> int:
     return 0
 
 
+def _open_out(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: Optional[str], header, rows) -> None:
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
@@ -233,7 +240,7 @@ def _write_csv(path: Optional[str], header, rows) -> None:
         writer.writerows(rows)
 
     if path:
-        with open(path, "w", newline="") as f:
+        with _open_out(path, newline="") as f:
             emit(f)
     else:
         emit(sys.stdout)

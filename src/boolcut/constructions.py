@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .chains import Chain, bounded_chain_partition
 from .errors import DomainError, InternalError
-from .formulas import binomial
+from .formulas import binomial, delta, per_level_bound_value
 from .lattice import NodeSet, TruncatedLattice, level_masks
 
 _METHOD_ORDER = ("level", "bicolor", "fourcolor", "product")
@@ -175,14 +175,12 @@ def method_counts(n: int, m: int, l: int) -> dict[str, int]:
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
     counts: dict[str, int] = {}
-    if l == m:
-        counts["level"] = binomial(n, m)
-    if l == m + 1 and n >= m + 1:
-        counts["bicolor"] = binomial(n - 1, m)
-    if l == m + 2 and n >= 2 * m + 2:
-        counts["fourcolor"] = sum(binomial(n - 2 * j - 2, m - j) for j in range(m + 1))
+    # The level, bicolor and fourcolor builders attain the short-lattice g.
+    short = per_level_bound_value(n, m, l)
+    if short is not None:
+        counts[_METHOD_ORDER[l - m]] = short
     if 2 * m <= l:
-        counts["product"] = binomial(n, m) - binomial(n, m - 1)
+        counts["product"] = delta(n, m)
     return counts
 
 

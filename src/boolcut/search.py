@@ -10,10 +10,13 @@ chain-hitting branch engine:
 The decision subproblem "is there a cutset with objective <= target?" is
 solved by branching on the lexicographically least maximal chain missed by
 the current selection: any cutset must contain one of its nodes, so trying
-each node (in ascending numeric order) is exhaustive.  The width objective
-is maintained incrementally, one matching augmentation per added node; the
-per-level objective keeps plain counters.  Both objectives only grow as
-nodes are added, so a branch whose objective exceeds the target is cut.
+each node (in ascending numeric order) is exhaustive.  Both objectives
+only grow as nodes are added, so a branch whose objective exceeds the
+target is cut.  One list, ``room``, holds how many more nodes each level
+may take, the target minus its count; it is the per-level objective.  A
+level is an antichain, so a node on a level without room also makes the
+width exceed the target; for h, a node that passes that test is pushed
+into an incremental matching (one augmentation) and cut if the width does.
 A visited-set skips selections already proven infeasible at the current
 target, which only removes work (feasible selections are never recorded).
 Each result counts its prunes by reason: ``objective``, ``chain_bound``
@@ -32,9 +35,10 @@ from v to level l, and ``down[v]``, those from level m to v; U, the sum of
 ``up`` over level m, counts all unhit chains, and ``down[v] * up[v]`` of
 them pass through v.  Every level is an antichain, so a completion with
 objective <= k (width or per-level count) adds at most ``k - count_i``
-nodes on level i, and none below the pinned level.  Each unhit chain needs
-an added node, so when the largest allowed products on each level sum to
-less than U no completion exists and the selection is cut.  The same
+nodes on level i (its ``room``), and none below the pinned level.  Each
+unhit chain needs an added node, so when the largest allowed products on
+each level sum to less than U no completion exists and the selection is
+cut.  The same
 ``up`` sweep finds the least missed chain (``analysis.missed_chain_masks``),
 so the bound adds one forward sweep and one sort per level.
 
@@ -58,7 +62,7 @@ from .analysis import InclusionMatcher, cover_lists, missed_chain_masks
 from .chains import Chain
 from .constructions import Cutset, method_counts
 from .errors import DomainError, InternalError
-from .lattice import MAX_GROUND, NodeSet, TruncatedLattice, level_masks
+from .lattice import NodeSet, TruncatedLattice, level_masks
 
 DEFAULT_NODE_CAP = 64
 
@@ -142,94 +146,68 @@ class _Budget:
             raise _Exhausted
 
 
-class _WidthGoal:
-    """Objective for h: width of the selection, via incremental matching."""
-
-    def __init__(self) -> None:
-        self._matcher = InclusionMatcher()
-
-    def push(self, v: int) -> int:
-        self._matcher.push(v)
-        return self._matcher.width
-
-    def pop(self, v: int) -> None:
-        self._matcher.pop()
-
-
-class _PerLevelGoal:
-    """Objective for g: the count on the level just touched."""
-
-    def __init__(self) -> None:
-        self._counts = [0] * (MAX_GROUND + 1)
-
-    def push(self, v: int) -> int:
-        i = v.bit_count()
-        self._counts[i] += 1
-        return self._counts[i]
-
-    def pop(self, v: int) -> None:
-        self._counts[v.bit_count()] -= 1
-
-
-def _lower_covers(levels, covers) -> list[list[list[int]]]:
-    """Positions of each node's lower covers, for every level but the bottom."""
-    below = [[[] for _ in lv] for lv in levels[1:]]
-    for cov, rows in zip(covers, below):
-        for j, cs in enumerate(cov):
-            for c in cs:
-                rows[c].append(j)
-    return below
-
-
-def _short_of_chains(up, below, room) -> bool:
+def _short_of_chains(up, covers, room) -> bool:
     """True when no allowed completion can hit every unhit chain.
 
     ``up`` is the per-level count of unhit chains from each node to the top
-    level, ``below`` the positions of each node's lower covers and ``room``
-    the most nodes a completion may still add on each level.  Exactly
-    ``down[v] * up[v]`` unhit chains pass through v, where ``down[v]``
-    counts unhit chains from the bottom level to v.
+    level, ``covers`` the positions of each node's covers in the next level
+    and ``room`` the most nodes a completion may still add on each level.
+    Exactly ``down[v] * up[v]`` unhit chains pass through v, where
+    ``down[v]`` counts unhit chains from the bottom level to v: each live
+    count is pushed along ``covers`` and zeroed where ``up`` is 0.
     """
     total = sum(up[0])
     down = [1 if u else 0 for u in up[0]]
     reach = sum(sorted(up[0], reverse=True)[: room[0]])
-    for ups, bs, r in zip(up[1:], below, room[1:]):
+    for ups, cov, r in zip(up[1:], covers, room[1:]):
         if reach >= total:
             return False
+        nxt = [0] * len(ups)
+        for d, cs in zip(down, cov):
+            if d:
+                for c in cs:
+                    nxt[c] += d
         # A node with no unhit chain above it feeds no node that has one.
-        at = down.__getitem__
-        down = [sum(map(at, b)) if u else 0 for u, b in zip(ups, bs)]
+        down = [d if u else 0 for d, u in zip(nxt, ups)]
         if r:
             reach += sum(sorted(map(mul, down, ups), reverse=True)[:r])
     return reach < total
 
 
-def _decide(levels, covers, below, limit, goal_cls, bud, lowest) -> Optional[list[int]]:
+def _decide(levels, covers, limit, width, bud, lowest) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
+
+    The objective is the width when ``width`` is true (h), else the largest
+    count on one level (g).  ``room[i]`` is the most nodes level m + i may
+    still take: ``limit`` minus its count from ``lowest`` up, 0 below.  A
+    candidate on a level with no room is cut for both objectives, because a
+    level is an antichain: a (limit + 1)-th node on one level makes the
+    width, like the count, exceed ``limit``.  For h a candidate that passes
+    is pushed into an ``InclusionMatcher`` and cut when the width exceeds
+    ``limit``.
 
     The node {1..lowest} is pinned and candidates below ``lowest`` are
     skipped.  Sound: relabelling [n] moves a lowest node of any cutset whose
     lowest level is ``lowest`` onto {1..lowest} without changing its
     objective, and branching on the least missed chain is exhaustive among
     cutsets holding the current selection.  The pinned node is in every
-    selection here, so memo keys leave it out.
+    selection here, so keying the memo by the whole selection loses no hits.
 
     A selection is also cut when the nodes it may still add cannot hit all
-    of its U unhit chains (see ``_short_of_chains``).  Sound: a level is an
-    antichain, so an objective <= limit (width or per-level count) allows
-    at most ``limit - count_i`` more nodes on level i, and none below
-    ``lowest``; every unhit chain needs one added node, and an added node v
-    hits exactly ``down[v] * up[v]`` of them.  If the largest allowed such
+    of its U unhit chains (see ``_short_of_chains``).  Sound: by the same
+    antichain argument a completion adds at most ``room[i]`` nodes on level
+    m + i; every unhit chain needs one added node, and an added node v hits
+    exactly ``down[v] * up[v]`` of them.  If the largest allowed such
     products sum to less than U, no completion exists, so the selection is
-    infeasible and goes into the memo.  Returns the selection in insertion
-    order, or None when no such selection exists.
+    infeasible and goes into the memo.  Returns the selection, or None when
+    no such selection exists.
     """
     m = levels[0][0].bit_count()
     pinned = (1 << lowest) - 1
-    goal = goal_cls()
-    goal.push(pinned)
+    matcher = InclusionMatcher() if width else None
+    if width:
+        matcher.push(pinned)
     selected = {pinned}
-    order = [pinned]
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
     seen: set[frozenset[int]] = set()
@@ -237,7 +215,7 @@ def _decide(levels, covers, below, limit, goal_cls, bud, lowest) -> Optional[lis
 
     def dfs() -> bool:
         bud.tick()
-        key = frozenset(order[1:])
+        key = frozenset(selected)
         if key in seen:
             prunes["memo"] += 1
             return False
@@ -246,36 +224,40 @@ def _decide(levels, covers, below, limit, goal_cls, bud, lowest) -> Optional[lis
             return True
         seen.add(key)
         path, up = found
-        if _short_of_chains(up, below, room):
+        if _short_of_chains(up, covers, room):
             prunes["chain_bound"] += 1
             return False
-        for v in path:
-            i = v.bit_count()
-            if i < lowest:
-                continue
-            if goal.push(v) > limit:
+        # path[i] lies on level m + i; candidates below lowest are skipped.
+        for i in range(lowest - m, len(path)):
+            v = path[i]
+            if not room[i]:
                 prunes["objective"] += 1
-            else:
-                selected.add(v)
-                order.append(v)
-                room[i - m] -= 1
-                if dfs():
-                    return True
-                selected.remove(v)
-                order.pop()
-                room[i - m] += 1
-            goal.pop(v)
+                continue
+            if width:
+                matcher.push(v)
+                if matcher.width > limit:
+                    matcher.pop()
+                    prunes["objective"] += 1
+                    continue
+            selected.add(v)
+            room[i] -= 1
+            if dfs():
+                return True
+            selected.remove(v)
+            room[i] += 1
+            if width:
+                matcher.pop()
         return False
 
-    return order if dfs() else None
+    return selected if dfs() else None
 
 
-def _witness(n: int, m: int, l: int, selection: list[int]) -> Cutset:
+def _witness(n: int, m: int, l: int, selection: set[int]) -> Cutset:
     lat = TruncatedLattice(n, m, l)
     return Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
 
 
-def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
+def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
     node_count = TruncatedLattice(n, m, l).node_count
@@ -286,7 +268,6 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
         )
     levels = [level_masks(n, i) for i in range(m, l + 1)]
     covers = cover_lists(levels, n)
-    below = _lower_covers(levels, covers)
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
     # Any single level between m and l is itself a cutset, which bounds both
@@ -296,12 +277,17 @@ def _run(n, m, l, budget, node_cap, goal_cls, measure) -> SearchResult:
     try:
         while target <= trivial_upper:
             for lowest in range(m, l + 1):
-                selection = _decide(levels, covers, below, target, goal_cls, bud, lowest)
+                selection = _decide(levels, covers, target, width, bud, lowest)
                 if selection is None:
                     continue
                 wit = _witness(n, m, l, selection)
                 nodes = wit.nodes()
-                if not analysis.is_cutset(wit.lat, nodes).is_cutset or measure(nodes) != target:
+                # Re-measured independently of the search's own bookkeeping.
+                value = (
+                    analysis.width(nodes).width if width
+                    else max(Counter(a.level for a in nodes).values())
+                )
+                if not analysis.is_cutset(wit.lat, nodes).is_cutset or value != target:
                     raise InternalError(
                         f"witness for n={n} m={m} l={l} at {target} failed re-verification"
                     )
@@ -332,7 +318,7 @@ def exact_min_width(
 
     Iterative deepening on the target width, starting from 1.
     """
-    return _run(n, m, l, budget, node_cap, _WidthGoal, lambda nodes: analysis.width(nodes).width)
+    return _run(n, m, l, budget, node_cap, True)
 
 
 def exact_min_per_level(
@@ -344,10 +330,7 @@ def exact_min_per_level(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> SearchResult:
     """Exact g(n, m, l): least k with a cutset holding <= k nodes per level."""
-    return _run(
-        n, m, l, budget, node_cap, _PerLevelGoal,
-        lambda nodes: max(Counter(a.level for a in nodes).values()),
-    )
+    return _run(n, m, l, budget, node_cap, False)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from boolcut.cli import main
 
 
 # Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
-# `search --n 5 --m 1 --l 4` (minus the elapsed time): the CLI contract is
-# byte-for-byte stable, node counts included.
+# `search --n 5 --m 1 --l 4` with `--target h` and `--target g` (minus the
+# elapsed time): the CLI contract is byte-for-byte stable, node counts included.
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -43,6 +43,26 @@ GOLDEN_SEARCH_JSON = {
     "stats": {
         "nodes_expanded": 6435,
         "prunes": {"objective": 5307, "chain_bound": 1818, "memo": 1667},
+    },
+}
+GOLDEN_SEARCH_G_JSON = {
+    "status": "EXACT",
+    "value": 3,
+    "lower": 3,
+    "upper": 3,
+    "witness": {
+        "format": 1,
+        "n": 5,
+        "m": 1,
+        "l": 4,
+        "chains": [
+            [[1]], [[2]], [[3]], [[1, 4]], [[2, 4]], [[3, 4]], [[1, 2, 5]], [[1, 2, 3, 5]],
+            [[1, 4, 5]], [[2, 4, 5]], [[1, 3, 4, 5]], [[2, 3, 4, 5]],
+        ],
+    },
+    "stats": {
+        "nodes_expanded": 93,
+        "prunes": {"objective": 29, "chain_bound": 44, "memo": 16},
     },
 }
 
@@ -286,10 +306,13 @@ class TestReport:
             capsys, "report", "--n-min", "3", "--n-max", "4", "--m-min", "0", "--m-max", "2"
         )
         assert out == GOLDEN_REPORT_CSV
-        _, out, _ = run(capsys, "search", "--n", "5", "--m", "1", "--l", "4")
-        data = json.loads(out)
-        del data["stats"]["elapsed_seconds"]
-        assert data == GOLDEN_SEARCH_JSON
+        for target, golden in (("h", GOLDEN_SEARCH_JSON), ("g", GOLDEN_SEARCH_G_JSON)):
+            _, out, _ = run(
+                capsys, "search", "--n", "5", "--m", "1", "--l", "4", "--target", target
+            )
+            data = json.loads(out)
+            del data["stats"]["elapsed_seconds"]
+            assert data == golden
 
 
 class TestIdentities:
@@ -308,6 +331,23 @@ class TestIdentities:
         )
         assert code == 0
         assert path.read_text().startswith("identity,n,m,lhs,rhs,pass\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "4", "--m", "1", "--l", "2"],
+        ["report", "--n-min", "3", "--n-max", "3", "--m-max", "0"],
+        ["identities", "--max-n", "4", "--max-m", "1"],
+    ],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "f"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_unknown_command_exits_2(capsys):

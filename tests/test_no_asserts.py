@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import boolcut
 
 PACKAGE = Path(boolcut.__file__).resolve().parent
@@ -25,12 +27,13 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_witness_reverification_raises_under_optimize():
+@pytest.mark.parametrize("search", ["exact_min_width", "exact_min_per_level"])
+def test_witness_reverification_raises_under_optimize(search):
     code = (
-        "from boolcut import InternalError, analysis, exact_min_width\n"
+        f"from boolcut import InternalError, analysis, {search}\n"
         "analysis.is_cutset = lambda lat, nodes: analysis.CutsetReport(False, None)\n"
         "try:\n"
-        "    exact_min_width(4, 1, 2)\n"
+        f"    {search}(4, 1, 2)\n"
         "except InternalError:\n"
         "    print('raised')\n"
     )

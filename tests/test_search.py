@@ -177,8 +177,7 @@ class TestChainBound:
         found = analysis.missed_chain_masks(levels, covers, selected)
         counts = Counter(v.bit_count() for v in selected)
         room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
-        below = search._lower_covers(levels, covers)
-        return found, found is not None and search._short_of_chains(found[1], below, room)
+        return found, found is not None and search._short_of_chains(found[1], covers, room)
 
     def test_prunes_below_the_optimum(self):
         # h(4,1,2) = 3: with at most 2 nodes per level, the 12 chains of
