@@ -19,7 +19,8 @@ node's covers.  The selection is a cutset exactly when every bottom count
 is 0; otherwise a greedy walk up through nodes with a positive count, from
 the least such bottom node and always to the least such cover,
 reconstructs the lexicographically least missed maximal chain.  The exact
-search reads the same counts for its chain-counting bound.
+search starts its chain counts from the same sweep and keeps them up to
+date itself, reusing the greedy walk (``least_missed_chain``).
 """
 
 from __future__ import annotations
@@ -254,6 +255,29 @@ def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
     return out
 
 
+def least_missed_chain(
+    levels: list[list[int]], covers: list[list[list[int]]], counts: list[list[int]]
+) -> list[int]:
+    """Positions, bottom to top, of the least chain through positive counts.
+
+    ``counts[i][j]`` is the number of untouched chains from the j-th node of
+    level i to the top level, and at least one bottom count is positive.  The
+    walk starts at the least bottom node with a positive count and always
+    steps to the least cover with one; as ``levels`` and every cover list are
+    ascending, this is the lexicographically least untouched maximal chain.
+    """
+    j = next(j for j, c in enumerate(counts[0]) if c)
+    path = [j]
+    for lv, cov, cnt in zip(levels, covers, counts[1:]):
+        for j in cov[j]:
+            if cnt[j]:
+                break
+        else:
+            raise InternalError(f"missed-chain reconstruction stuck above {lv[path[-1]]:#x}")
+        path.append(j)
+    return path
+
+
 def missed_chain_masks(
     levels: list[list[int]], covers: list[list[list[int]]], selected: set[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
@@ -277,17 +301,8 @@ def missed_chain_masks(
     if not any(up):
         return None
     counts.reverse()
-
-    j = next(j for j, c in enumerate(counts[0]) if c)
-    path = [levels[0][j]]
-    for lv, cov, cnt in zip(levels[1:], covers, counts[1:]):
-        for j in cov[j]:
-            if cnt[j]:
-                break
-        else:
-            raise InternalError(f"missed-chain reconstruction stuck above {path[-1]:#x}")
-        path.append(lv[j])
-    return path, counts
+    path = least_missed_chain(levels, covers, counts)
+    return [lv[j] for lv, j in zip(levels, path)], counts
 
 
 def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet]) -> CutsetReport:

@@ -22,6 +22,10 @@ from .errors import DomainError, InternalError
 from .lattice import MAX_GROUND, TruncatedLattice
 from .search import SearchBudget, SearchStatus
 
+# The most nodes construct and verify enumerate unless told otherwise: the
+# is_cutset sweep over the 236,912 nodes of B_18(6, 12) takes about a second.
+DEFAULT_MAX_LATTICE_NODES = 250_000
+
 _REPORT_HEADER = [
     "n",
     "m",
@@ -42,6 +46,22 @@ def _budget_from(args) -> SearchBudget:
     )
 
 
+def _add_size_flag(p: argparse.ArgumentParser, default: int) -> None:
+    p.add_argument(
+        "--max-lattice-nodes",
+        type=int,
+        default=default,
+        help=f"the most nodes this command will enumerate (default {default})",
+    )
+
+
+def _refuse_oversize(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise DomainError(
+            f"{what} {size} nodes, above --max-lattice-nodes {cap}; raise it to run anyway"
+        )
+
+
 def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) -> None:
     p.add_argument(
         "--max-nodes",
@@ -55,12 +75,19 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
         default=seconds,
         help=f"wall-clock budget per call in seconds (default {seconds})",
     )
-    p.add_argument(
-        "--max-lattice-nodes",
-        type=int,
-        default=search.DEFAULT_NODE_CAP,
-        help="largest lattice (node count) the search will accept",
-    )
+    _add_size_flag(p, search.DEFAULT_NODE_CAP)
+
+
+def _construction_size(n: int, m: int, l: int, method: str) -> int:
+    """The most nodes the method's cutset of levels m..l can hold.
+
+    k chains over c levels hold at most k * c nodes; where ``method_counts``
+    has no count for the method, the lattice size bounds the cutset instead.
+    """
+    counts = constructions.method_counts(n, m, l) if 0 <= m <= l <= n - m else {}
+    if method in counts:
+        return counts[method] * (l - m + 1)
+    return TruncatedLattice(n, m, l).node_count
 
 
 def cmd_construct(args) -> int:
@@ -77,12 +104,17 @@ def cmd_construct(args) -> int:
             f"method {args.method} builds levels m..{expected_l[args.method]}, "
             f"but l={args.l} was requested"
         )
-    cut = builders[args.method]()
     method = (
         constructions.choose_method(args.n, args.m, args.l)
         if args.method == "auto"
         else args.method
     )
+    _refuse_oversize(
+        f"the {method} cutset of B_{args.n}({args.m}, {args.l}) has up to",
+        _construction_size(args.n, args.m, args.l, method),
+        args.max_lattice_nodes,
+    )
+    cut = builders[args.method]()
     summary = {
         "method": method,
         "chain_count": cut.chain_count,
@@ -107,6 +139,11 @@ def cmd_verify(args) -> int:
         print(f"error: cannot read cutset JSON: {exc}", file=sys.stderr)
         return 2
     cut = Cutset.from_json(data)
+    _refuse_oversize(
+        f"the lattice B_{cut.lat.n}({cut.lat.m}, {cut.lat.l}) has",
+        cut.lat.node_count,
+        args.max_lattice_nodes,
+    )
     nodes = cut.nodes()
     cut_report = analysis.is_cutset(cut.lat, nodes)
     width_report = analysis.width(nodes)
@@ -263,10 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--out", help="write the cutset JSON here (summary goes to stdout)")
+    _add_size_flag(p, DEFAULT_MAX_LATTICE_NODES)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a cutset JSON file and measure its width")
     p.add_argument("input", help="path to a cutset JSON file")
+    _add_size_flag(p, DEFAULT_MAX_LATTICE_NODES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exact minimum width (h) or per-level bound (g)")

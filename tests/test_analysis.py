@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolcut import (
     DomainError,
+    InternalError,
     NodeSet,
     TruncatedLattice,
     cutset_fourcolor,
@@ -12,6 +13,8 @@ from boolcut import (
     level_nodes,
     width,
 )
+from boolcut import analysis
+from boolcut.lattice import level_masks
 
 from helpers import brute_force_width, maximal_chain_count, naive_is_cutset, iter_maximal_chains
 
@@ -68,6 +71,15 @@ class TestIsCutset:
         if not rep.is_cutset:
             least = min(ch for ch in iter_maximal_chains(n, m, l) if sel.isdisjoint(ch))
             assert [a.bits for a in rep.missed_chain] == list(least)
+
+
+    def test_inconsistent_counts_fail_loudly(self):
+        # A positive count with no positive cover cannot come from a sweep;
+        # the walk raises instead of returning a chain that is not missed.
+        levels = [level_masks(3, 1), level_masks(3, 2)]
+        covers = analysis.cover_lists(levels, 3)
+        with pytest.raises(InternalError, match="stuck above 0x1"):
+            analysis.least_missed_chain(levels, covers, [[1, 0, 0], [0, 0, 0]])
 
 
 class TestNaiveEnumerationItself:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from boolcut import InternalError, search
+from boolcut import InternalError, TruncatedLattice, cli, constructions, search
 from boolcut.cli import main
 
 
@@ -43,6 +43,7 @@ GOLDEN_SEARCH_JSON = {
     "stats": {
         "nodes_expanded": 6435,
         "prunes": {"objective": 5307, "chain_bound": 1818, "memo": 1667},
+        "memo_peak": 4576,
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -63,6 +64,7 @@ GOLDEN_SEARCH_G_JSON = {
     "stats": {
         "nodes_expanded": 93,
         "prunes": {"objective": 29, "chain_bound": 44, "memo": 16},
+        "memo_peak": 56,
     },
 }
 
@@ -121,6 +123,39 @@ class TestConstruct:
             capsys, "construct", "--n", "4", "--m", "3", "--l", "2", "--method", "auto"
         )
         assert code == 2
+
+    def test_oversize_request_exits_2_at_once(self, capsys):
+        # 2,147,042,307,851,595 chains over 21 levels: building it would never end.
+        code, out, err = run(capsys, "construct", "--n", "60", "--m", "20", "--l", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the product cutset of B_60(20, 40) has up to ")
+        assert "45087888464883495 nodes, above --max-lattice-nodes 250000" in err
+
+    @pytest.mark.parametrize("cap,code", [("5", 2), ("6", 0)])
+    def test_size_cap_override(self, capsys, cap, code):
+        # The product cutset of B_4(1, 2) has 3 chains over 2 levels.
+        got, _, _ = run(
+            capsys, "construct", "--n", "4", "--m", "1", "--l", "2", "--max-lattice-nodes", cap
+        )
+        assert got == code
+
+    @pytest.mark.parametrize(
+        "method,n,m,l,verified",
+        [
+            ("level", 16, 5, 5, True),
+            ("bicolor", 16, 5, 6, True),
+            ("fourcolor", 16, 4, 6, True),
+            ("product", 16, 4, 8, True),
+            ("auto", 14, 3, 9, True),
+            ("product", 18, 6, 12, False),
+        ],
+    )
+    def test_certify_sizes_stay_under_the_default_cap(self, method, n, m, l, verified):
+        if method == "auto":
+            method = constructions.choose_method(n, m, l)
+        assert cli._construction_size(n, m, l, method) <= cli.DEFAULT_MAX_LATTICE_NODES
+        if verified:
+            assert TruncatedLattice(n, m, l).node_count <= cli.DEFAULT_MAX_LATTICE_NODES
 
 
 class TestVerify:
@@ -208,6 +243,24 @@ class TestVerify:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_oversize_lattice_exits_2_at_once(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"format": 1, "n": 40, "m": 10, "l": 20, "chains": [[list(range(1, 11))]]}
+        ))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: the lattice B_40(10, 20) has 618305492694 nodes, "
+            "above --max-lattice-nodes 250000"
+        )
+
+    @pytest.mark.parametrize("cap,code", [("9", 2), ("10", 0)])
+    def test_size_cap_override(self, capsys, tmp_path, cap, code):
+        path = self._construct(capsys, tmp_path, 4, 1, 2, "product")  # 4 + 6 lattice nodes
+        got, _, _ = run(capsys, "verify", str(path), "--max-lattice-nodes", cap)
+        assert got == code
 
 
 class TestSearch:

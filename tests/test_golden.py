@@ -1,9 +1,11 @@
-"""Byte-for-byte parity of the bulk width matching and the chain partition.
+"""Byte-for-byte parity of the bulk width matching, the chain partition and the search.
 
-The digests below were recorded from the width and partition code before
-the submask-lookup graph build and the dead marks of ``chains.augment``
-went in; both changes must leave every matching, and so every
-certificate and chain, exactly as it was.
+The width and partition digests were recorded from the code before the
+submask-lookup graph build and the dead marks of ``chains.augment`` went
+in; both changes must leave every matching, and so every certificate and
+chain, exactly as it was.  The search digest was recorded before the
+search kept its chain counts incrementally; values, witnesses, bounds,
+node counts and prunes must all stay as they were.
 """
 
 import hashlib
@@ -14,14 +16,19 @@ import pytest
 
 from boolcut import (
     NodeSet,
+    SearchBudget,
+    TruncatedLattice,
     bounded_chain_partition,
     cutset_auto,
     cutset_bicolor,
     cutset_fourcolor,
     cutset_level,
     cutset_product,
+    exact_min_per_level,
+    exact_min_width,
     width,
 )
+from boolcut.search import DEFAULT_NODE_CAP
 
 # The cutsets that the certify workload of the benchmark verifies.
 CUTSETS = {
@@ -62,6 +69,9 @@ PARTITION_DIGESTS = {
     12: "7a8b2f4db62b9b91030b41adb941a44d8c8d42590d8041121ce77c6e6350e8a6",
 }
 
+# Every h and g search of `report --n-min 3 --n-max 12`, at 5,000 nodes each.
+SEARCH_DIGEST = "b235584a565a6cb49ce75d6d2bf9f9c424e6b7091685f62774f87582294767c1"
+
 
 def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
@@ -91,3 +101,28 @@ def test_width_is_byte_identical(name):
 @pytest.mark.parametrize("k", range(13))
 def test_partition_is_byte_identical(k):
     assert partition_digest(k) == PARTITION_DIGESTS[k]
+
+
+def search_digest():
+    """Digest of every search result of the report instances for n = 3..12.
+
+    The elapsed time varies from run to run, and ``memo_peak`` is newer
+    than the recorded digest, so both are left out.
+    """
+    budget = SearchBudget(5_000, 3600.0)
+    results = []
+    for n in range(3, 13):
+        for m in range(n // 2 + 1):
+            for l in range(m, n - m + 1):
+                if TruncatedLattice(n, m, l).node_count > DEFAULT_NODE_CAP:
+                    continue
+                for run in (exact_min_width, exact_min_per_level):
+                    data = run(n, m, l, budget).to_json()
+                    del data["stats"]["elapsed_seconds"]
+                    data["stats"].pop("memo_peak", None)
+                    results.append(data)
+    return digest(results)
+
+
+def test_search_is_byte_identical():
+    assert search_digest() == SEARCH_DIGEST

@@ -167,6 +167,24 @@ class TestExactMinPerLevel:
             assert g <= h
 
 
+def live_prefix_counts(n, m, l, selected):
+    """Per level, the saturated chains from level m to each node that avoid ``selected``."""
+    out = []
+    for i in range(m, l + 1):
+        ends = [ch[-1] for ch in iter_maximal_chains(n, m, i) if selected.isdisjoint(ch)]
+        out.append([ends.count(v) for v in level_masks(n, i)])
+    return out
+
+
+def live_suffix_counts(n, m, l, selected):
+    """Per level, the saturated chains from each node to level l that avoid ``selected``."""
+    out = []
+    for i in range(m, l + 1):
+        starts = [ch[0] for ch in iter_maximal_chains(n, i, l) if selected.isdisjoint(ch)]
+        out.append([starts.count(v) for v in level_masks(n, i)])
+    return out
+
+
 class TestChainBound:
     """The chain-counting prune of the search, against exhaustive branching."""
 
@@ -177,7 +195,10 @@ class TestChainBound:
         found = analysis.missed_chain_masks(levels, covers, selected)
         counts = Counter(v.bit_count() for v in selected)
         room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
-        return found, found is not None and search._short_of_chains(found[1], covers, room)
+        if found is None:
+            return found, False
+        down = live_prefix_counts(n, m, l, selected)
+        return found, search._short_of_chains(found[1], down, room)
 
     def test_prunes_below_the_optimum(self):
         # h(4,1,2) = 3: with at most 2 nodes per level, the 12 chains of
@@ -206,9 +227,7 @@ class TestChainBound:
             return
         path, up = found
         assert tuple(path) == min(unhit)
-        for i, lv in zip(range(m, l + 1), up):
-            starts = [ch[0] for ch in iter_maximal_chains(n, i, l) if selected.isdisjoint(ch)]
-            assert lv == [starts.count(v) for v in level_masks(n, i)]
+        assert up == live_suffix_counts(n, m, l, selected)
         if pruned:
             # Width is at least the count on any level, so no completion with
             # at most k nodes per level also rules out width <= k.
@@ -218,6 +237,52 @@ class TestChainBound:
                 f"pruned, but {sorted(cut)} is a cutset of width "
                 f"{brute_force_width(cut)} with at most {k} nodes per level"
             )
+
+
+class TestChainCounts:
+    """The search's incremental chain counts, against fresh counts after every step."""
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_select_and_undo_match_fresh_counts(self, n, data):
+        m = data.draw(st.integers(0, n // 2))
+        l = data.draw(st.integers(m, n - m))
+        levels = [level_masks(n, i) for i in range(m, l + 1)]
+        covers = analysis.cover_lists(levels, n)
+        state = search._ChainCounts(levels, covers, search._lower_covers(levels, covers))
+        flat = [v for lv in levels for v in lv]
+
+        def snapshot():
+            return [row[:] for row in state.up], [row[:] for row in state.down], state.key
+
+        def check(selection):
+            assert state.up == live_suffix_counts(n, m, l, selection)
+            found = analysis.missed_chain_masks(levels, covers, selection)
+            if found is not None:
+                assert state.up == found[1]
+            assert state.down == live_prefix_counts(n, m, l, selection)
+            assert state.key == sum(1 << flat.index(v) for v in selection)
+            assert state.selection() == selection
+
+        initial = snapshot()
+        stack = []
+        for select in data.draw(st.lists(st.booleans(), max_size=10)):
+            live = [(i, j) for i, lv in enumerate(levels) for j, v in enumerate(lv)
+                    if v not in stack]
+            if select and live:
+                i, j = data.draw(st.sampled_from(live))
+                state.select(i, j)
+                stack.append(levels[i][j])
+            elif stack:
+                state.undo()
+                stack.pop()
+            check(set(stack))
+        while stack:
+            state.undo()
+            stack.pop()
+            check(set(stack))
+        assert snapshot() == initial
+        assert state.trail == [] and state.marks == []
 
 
 class TestReverification:
