@@ -19,8 +19,8 @@ node's covers.  The selection is a cutset exactly when every bottom count
 is 0; otherwise a greedy walk up through nodes with a positive count, from
 the least such bottom node and always to the least such cover,
 reconstructs the lexicographically least missed maximal chain.  The exact
-search starts its chain counts from the same sweep and keeps them up to
-date itself, reusing the greedy walk (``least_missed_chain``).
+search keeps the same counts up to date itself and reuses the greedy walk
+(``least_missed_chain``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .chains import Chain, augment
+from .chains import Chain, augment, greedy_match
 from .errors import DomainError, InternalError
 from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
 
@@ -73,8 +73,9 @@ class InclusionMatcher:
     Adjacency lists are kept in insertion order, which fixes the
     augmenting-path search order and therefore the matching itself; the
     width value is independent of insertion order.  Only the exact search
-    uses this class: ``width`` matches a whole family in bulk.  Its
-    augmentations pass no dead marks, because pop() undoes mate changes.
+    uses this class: ``width`` matches a whole family in bulk.  push()
+    saves both mate dicts on the trail before it augments, each search
+    with a fresh visited set, and pop() puts them back.
     """
 
     def __init__(self) -> None:
@@ -83,7 +84,7 @@ class InclusionMatcher:
         self.below: dict[int, list[int]] = {}
         self.pair_up: dict[int, int] = {}
         self.pair_down: dict[int, int] = {}
-        self._trail: list[list[tuple]] = []
+        self._trail: list[tuple[dict[int, int], dict[int, int]]] = []
 
     @property
     def width(self) -> int:
@@ -102,19 +103,14 @@ class InclusionMatcher:
         self.above[v] = ups
         self.below[v] = downs
         self.nodes.append(v)
-        log: list[tuple] = []
-        augment(v, self.above, self.pair_down, self.pair_up, log)
+        self._trail.append((self.pair_up.copy(), self.pair_down.copy()))
+        augment(v, self.above, self.pair_down, self.pair_up, set())
         if v not in self.pair_down:
-            augment(v, self.below, self.pair_up, self.pair_down, log)
-        self._trail.append(log)
+            augment(v, self.below, self.pair_up, self.pair_down, set())
 
     def pop(self) -> None:
         v = self.nodes.pop()
-        for mates, key, old in reversed(self._trail.pop()):
-            if old is None:
-                del mates[key]
-            else:
-                mates[key] = old
+        self.pair_up, self.pair_down = self._trail.pop()
         for u in self.below[v]:
             self.above[u].pop()
         for u in self.above[v]:
@@ -166,11 +162,11 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
     certificate sizes are equal by Dilworth's theorem; the equality and
     the certificates themselves are re-verified before returning.
 
-    The graph is built once, by ``_proper_subsets``, and matched in one
-    greedy pass in ascending mask order: an augmenting search from the
-    upper copy of each node through its ``below`` list, with dead marks
-    kept across failed searches (see ``chains.augment``).  This is the
-    matching that ``InclusionMatcher.push`` reaches for the same order.
+    The graph is built once, by ``_proper_subsets``, and matched by one
+    ``chains.greedy_match`` pass in ascending mask order: an augmenting
+    search from the upper copy of each node through its ``below`` list.
+    This is the matching that ``InclusionMatcher.push`` reaches for the
+    same order.
     """
     masks, n = _shared_ground(nodes)
     below = dict(zip(masks, _proper_subsets(masks)))
@@ -180,10 +176,7 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
             above[u].append(v)
     pair_up: dict[int, int] = {}
     pair_down: dict[int, int] = {}
-    dead: set[int] = set()
-    for v in masks:
-        if augment(v, below, pair_up, pair_down, dead=dead):
-            dead.clear()
+    greedy_match(masks, below, pair_up, pair_down)
     w = len(masks) - len(pair_up)
 
     # Koenig: alternate from unmatched lower copies; the antichain is the
@@ -281,7 +274,7 @@ def least_missed_chain(
 def missed_chain_masks(
     levels: list[list[int]], covers: list[list[list[int]]], selected: set[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
-    """Mask-level core of the cutset check, shared with the exact search.
+    """Mask-level core of the cutset check.
 
     ``levels`` lists the masks of each lattice level in ascending order,
     bottom first, and ``covers`` is ``cover_lists(levels, n)``.  Returns

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .lattice import MAX_GROUND, NodeSet, level_masks
@@ -133,35 +133,15 @@ def _symmetric_chain_masks(k: int) -> list[list[int]]:
 
 
 def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, int],
-            left_mate: dict[int, int], log: Optional[list] = None,
-            dead: Optional[set[int]] = None) -> bool:
+            left_mate: dict[int, int], visited: set[int]) -> bool:
     """Kuhn's alternating-path search from the unmatched left node ``start``.
 
     ``adjacent`` maps left nodes to right nodes in search order; the two
-    mate dicts hold the matching from either side.  On success the path
-    is flipped and True is returned.  When ``log`` is given, each mate
-    change is appended as ``(dict, key, old)``, with old None for a key
-    that was absent, so the caller can undo it.  Iterative, because
-    levels can hold thousands of nodes.
-
-    ``dead``, owned by the caller, carries the right nodes of failed
-    searches into the next search of one greedy pass: the search skips
-    them, a failure leaves every right node it visited in the set, and
-    the caller must clear it after every success.  Soundness: a failed
-    search visits every right node reachable from its start by
-    alternating paths, and none of them is free.  A failure changes no
-    mate.  A greedy pass may add left nodes with new edges (the next
-    starts), but it leaves the edges of the left nodes already present as
-    they were, and an alternating path leaves a right node only through
-    its mate, a matched left node that was present at the failure.  So
-    until the next success every node in ``dead`` still reaches no free
-    node, and skipping it is the same as exploring it and failing: the
-    visits outside ``dead`` happen in the same order, and the search
-    flips the same first path.  A caller that changes old edges or undoes
-    mate changes (``InclusionMatcher.pop``) breaks the argument and must
-    pass no ``dead``.
+    mate dicts hold the matching from either side.  The search skips the
+    right nodes in ``visited`` and adds to it every right node it visits.
+    On success the path is flipped and True is returned.  Iterative,
+    because levels can hold thousands of nodes.
     """
-    visited: set[int] = set() if dead is None else dead
     parent: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = [(start, iter(adjacent[start]))]
     while stack:
@@ -179,9 +159,6 @@ def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, in
             while True:
                 x = parent[y]
                 old = left_mate.get(x)
-                if log is not None:
-                    log.append((right_mate, y, right_mate.get(y)))
-                    log.append((left_mate, x, old))
                 right_mate[y] = x
                 left_mate[x] = y
                 if old is None:
@@ -191,13 +168,37 @@ def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, in
     return False
 
 
+def greedy_match(starts: Iterable[int], adjacent: dict[int, list[int]],
+                 right_mate: dict[int, int], left_mate: dict[int, int]) -> None:
+    """One augmenting search from each of the unmatched left nodes ``starts``, in order.
+
+    The matching is the one that a fresh ``visited`` set per search gives,
+    but the right nodes of failed searches stay marked dead until the next
+    success, so later searches skip them.  Soundness: a failed search
+    visits every right node reachable from its start by alternating paths,
+    and none of them is free.  A failure changes no mate and the graph
+    stays as it is, and an alternating path leaves a right node only
+    through its mate.  So until the next success every dead node still
+    reaches no free node, and skipping it is the same as exploring it and
+    failing: the visits outside the dead set happen in the same order, and
+    the search flips the same first path.  A success changes mates, so it
+    clears the set.
+    """
+    dead: set[int] = set()
+    for x in starts:
+        if augment(x, adjacent, right_mate, left_mate, dead):
+            dead.clear()
+
+
 def _bounded_chain_masks(k: int, c: int) -> list[list[int]]:
     # Level-by-level growth.  age = chain position - 1; a node may extend
     # a predecessor only while its chain stays below size c, and should
     # take one aged at least (deepest predecessor's age) - 1 so positions
     # never step backwards along inclusions.  Unmatched nodes start new
-    # chains.  A second unrestricted pass is a completeness net for small
-    # caps; on the (2m, m+1) instances it never fires.
+    # chains.  A second pass, over every usable predecessor, matches what
+    # the window leaves unmatched.  On the (2m, m+1) instances it first
+    # fires at k = 14: without it (14, 8) has 3437 chains, with bottoms up
+    # at levels 11 and 12, and with it 3433.
     age = {0: 0}
     succ: dict[int, int] = {}
     for level in range(k):
@@ -217,21 +218,9 @@ def _bounded_chain_masks(k: int, c: int) -> list[list[int]]:
         pair_node: dict[int, int] = {}
         constrained = sorted((y for y in nodes if maxpred[y] >= 1),
                              key=lambda y: (-maxpred[y], y))
-        # The two window passes share a graph and a matching, so one set of
-        # dead marks serves both; the wide pass has more edges and starts afresh.
-        dead: set[int] = set()
-        for y in constrained:
-            if augment(y, window, pair_pred, pair_node, dead=dead):
-                dead.clear()
-        for y in nodes:
-            if maxpred[y] == 0 and y not in pair_node:
-                if augment(y, window, pair_pred, pair_node, dead=dead):
-                    dead.clear()
-        dead = set()
-        for y in nodes:
-            if y not in pair_node:
-                if augment(y, wide, pair_pred, pair_node, dead=dead):
-                    dead.clear()
+        greedy_match(constrained + [y for y in nodes if maxpred[y] == 0],
+                     window, pair_pred, pair_node)
+        greedy_match([y for y in nodes if y not in pair_node], wide, pair_pred, pair_node)
         new_age = {}
         for y in nodes:
             p = pair_node.get(y)

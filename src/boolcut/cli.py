@@ -91,13 +91,6 @@ def _construction_size(n: int, m: int, l: int, method: str) -> int:
 
 
 def cmd_construct(args) -> int:
-    builders = {
-        "level": lambda: constructions.cutset_level(args.n, args.m),
-        "bicolor": lambda: constructions.cutset_bicolor(args.n, args.m),
-        "fourcolor": lambda: constructions.cutset_fourcolor(args.n, args.m),
-        "product": lambda: constructions.cutset_product(args.n, args.m, args.l),
-        "auto": lambda: constructions.cutset_auto(args.n, args.m, args.l),
-    }
     expected_l = {"level": args.m, "bicolor": args.m + 1, "fourcolor": args.m + 2}
     if args.method in expected_l and args.l != expected_l[args.method]:
         raise DomainError(
@@ -114,7 +107,7 @@ def cmd_construct(args) -> int:
         _construction_size(args.n, args.m, args.l, method),
         args.max_lattice_nodes,
     )
-    cut = builders[args.method]()
+    cut = constructions.BUILDERS[method](args.n, args.m, args.l)
     summary = {
         "method": method,
         "chain_count": cut.chain_count,
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument(
         "--method",
-        choices=["level", "bicolor", "fourcolor", "product", "auto"],
+        choices=[*constructions.BUILDERS, "auto"],
         default="auto",
     )
     p.add_argument("--out", help="write the cutset JSON here (summary goes to stdout)")

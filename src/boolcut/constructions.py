@@ -14,8 +14,9 @@ bottoms sit at the lowest level they witness that the bound is tight):
                                     partition of 2^[2m] by every possible
                                     set of outside elements.
 
-``cutset_auto`` picks whichever applies with the fewest chains.  No
-construction is known for m + 2 < l < 2m.
+``BUILDERS`` maps each method name to its builder, and ``cutset_auto``
+picks whichever applies with the fewest chains.  No construction is known
+for m + 2 < l < 2m.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from .errors import DomainError, InternalError
 from .formulas import binomial, delta, per_level_bound_value
 from .lattice import NodeSet, TruncatedLattice, level_masks
 
-_METHOD_ORDER = ("level", "bicolor", "fourcolor", "product")
+# Each builder takes (n, m, l).  The lambdas look the builders up at call
+# time, so a wrapper installed on this module later is the one called.
+BUILDERS = {
+    "level": lambda n, m, l: cutset_level(n, m),
+    "bicolor": lambda n, m, l: cutset_bicolor(n, m),
+    "fourcolor": lambda n, m, l: cutset_fourcolor(n, m),
+    "product": lambda n, m, l: cutset_product(n, m, l),
+}
+_METHOD_ORDER = tuple(BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -199,11 +208,4 @@ def choose_method(n: int, m: int, l: int) -> str:
 
 def cutset_auto(n: int, m: int, l: int) -> Cutset:
     """Build a cutset of levels m..l with the cheapest applicable method."""
-    name = choose_method(n, m, l)
-    if name == "level":
-        return cutset_level(n, m)
-    if name == "bicolor":
-        return cutset_bicolor(n, m)
-    if name == "fourcolor":
-        return cutset_fourcolor(n, m)
-    return cutset_product(n, m, l)
+    return BUILDERS[choose_method(n, m, l)](n, m, l)

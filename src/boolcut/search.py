@@ -41,11 +41,11 @@ allowed products on each level sum to less than U no completion exists
 and the selection is cut.  The least missed chain is the greedy walk over
 ``up`` (``analysis.least_missed_chain``).
 
-Both counts are kept incrementally (``_ChainCounts``): one full sweep
-each over the empty selection when a decision call starts, then each
-selected node v removes exactly the unhit chains through v, ``up[v]``
-times the live paths from a node below v to v and ``down[v]`` times those
-from v to a node above it, and undo restores the old counts from a trail.
+Both counts are kept incrementally (``_ChainCounts``): a decision call
+starts them from closed forms on the empty selection, then each selected
+node v removes exactly the unhit chains through v, ``up[v]`` times the
+live paths from a node below v to v and ``down[v]`` times those from v to
+a node above it, and undo restores the old counts from a trail.
 ``down`` is a plain live-path count, not zeroed where ``up`` is 0: a
 product with ``up`` 0 is 0 anyway, and every live path into a node whose
 ``up`` is positive passes only nodes whose ``up`` is positive, so each
@@ -67,11 +67,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from math import perm
 from operator import mul
 from typing import Optional
 
 from . import analysis, formulas
-from .analysis import InclusionMatcher, cover_lists, least_missed_chain, missed_chain_masks
+from .analysis import InclusionMatcher, cover_lists, least_missed_chain
 from .chains import Chain
 from .constructions import Cutset, method_counts
 from .errors import DomainError, InternalError
@@ -224,26 +225,23 @@ class _ChainCounts:
     the top level and ``down[i][j]`` the saturated paths from the bottom level
     to it, both through unselected (live) nodes only, so both are 0 on a
     selected node.  ``key`` has bit ``base[i] + j`` set exactly when that
-    node is selected.  The selection starts empty, with ``up`` from one
-    ``missed_chain_masks`` sweep and ``down`` from one forward sweep; after
-    that ``select`` and ``undo`` update all three in place, the old counts
-    going onto ``trail`` as ``(list, index, old)``.
+    node is selected.  The selection starts empty: then every node on level
+    k has ``up`` = perm(n - k, l - k), the orders in which the elements
+    outside it can be added, and ``down`` = perm(k, k - m), the orders in
+    which its elements beyond an m-subset were added.  After that
+    ``select`` and ``undo`` update all three in place, the old counts going
+    onto ``trail`` as ``(list, index, old)``.
     """
 
     __slots__ = ("levels", "covers", "below", "base", "up", "down", "key", "trail", "marks")
 
-    def __init__(self, levels, covers, below) -> None:
+    def __init__(self, n, levels, covers, below) -> None:
         self.levels, self.covers, self.below = levels, covers, below
         self.base = list(accumulate(map(len, levels), initial=0))
-        # Every maximal chain misses the empty selection, so this is never None.
-        self.up = missed_chain_masks(levels, covers, set())[1]
-        self.down = [[1] * len(levels[0])]
-        for lv, cov in zip(levels[1:], covers):
-            row = [0] * len(lv)
-            for d, cs in zip(self.down[-1], cov):
-                for c in cs:
-                    row[c] += d
-            self.down.append(row)
+        m = levels[0][0].bit_count()
+        l = m + len(levels) - 1
+        self.up = [[perm(n - k, l - k)] * len(lv) for k, lv in enumerate(levels, m)]
+        self.down = [[perm(k, k - m)] * len(lv) for k, lv in enumerate(levels, m)]
         self.key = 0
         self.trail: list[tuple[list[int], int, int]] = []
         self.marks: list[tuple[int, int]] = []
@@ -291,7 +289,7 @@ class _ChainCounts:
         return {v for b, v in enumerate(flat) if self.key >> b & 1}
 
 
-def _decide(levels, covers, below, limit, width, bud, lowest) -> Optional[set[int]]:
+def _decide(n, levels, covers, below, limit, width, bud, lowest) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The objective is the width when ``width`` is true (h), else the largest
@@ -335,7 +333,7 @@ def _decide(levels, covers, below, limit, width, bud, lowest) -> Optional[set[in
     matcher = InclusionMatcher() if width else None
     if width:
         matcher.push(pinned)
-    st = _ChainCounts(levels, covers, below)
+    st = _ChainCounts(n, levels, covers, below)
     st.select(lowest - m, levels[lowest - m].index(pinned))
     up, down = st.up, st.down
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
@@ -411,7 +409,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     try:
         while target <= trivial_upper:
             for lowest in range(m, l + 1):
-                selection = _decide(levels, covers, below, target, width, bud, lowest)
+                selection = _decide(n, levels, covers, below, target, width, bud, lowest)
                 if selection is None:
                     continue
                 wit = _witness(n, m, l, selection)

@@ -15,7 +15,7 @@ from boolcut import (
     bounded_chain_partition,
     start_level_counts,
 )
-from boolcut.chains import augment
+from boolcut.chains import augment, greedy_match
 
 from helpers import pascal
 
@@ -153,23 +153,21 @@ class TestAugmentDeadMarks:
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=150, deadline=None)
     def test_greedy_pass_is_unchanged_by_dead_marks(self, n_left, n_right, data):
-        # Random bipartite graph; starts drawn with repeats, as a second
-        # pass over the same graph would restart unmatched left nodes.
+        # A random graph and a supergraph whose lists extend its lists, matched
+        # one after the other into shared mates, as the window and wide passes
+        # of the chain partition are: greedy_match must leave the mates that a
+        # plain loop of searches, each with a fresh visited set, leaves.
         right = st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right)
-        adjacent = {x: data.draw(right) for x in range(n_left)}
-        starts = data.draw(st.lists(st.integers(0, n_left - 1), max_size=3 * n_left))
-        plain = ({}, {}, [])
-        marked = ({}, {}, [])
-        dead = set()
-        for x in starts:
-            if x in plain[1]:
-                continue
-            plain[2].append(augment(x, adjacent, plain[0], plain[1]))
-            ok = augment(x, adjacent, marked[0], marked[1], dead=dead)
-            marked[2].append(ok)
-            if ok:
-                dead.clear()
-        assert marked == plain
+        wide = {x: data.draw(right) for x in range(n_left)}
+        window = {x: [y for y in ys if data.draw(st.booleans())] for x, ys in wide.items()}
+        plain, greedy = ({}, {}), ({}, {})
+        for graph in (window, wide):
+            order = data.draw(st.permutations(range(n_left)))
+            starts = [x for x in order if x not in plain[1]]
+            for x in starts:
+                augment(x, graph, *plain, set())
+            greedy_match(starts, graph, *greedy)
+            assert greedy == plain
 
 
 def test_partition_properties_script_reports_every_property():

@@ -1,11 +1,16 @@
 """Byte-for-byte parity of the bulk width matching, the chain partition and the search.
 
 The width and partition digests were recorded from the code before the
-submask-lookup graph build and the dead marks of ``chains.augment`` went
-in; both changes must leave every matching, and so every certificate and
-chain, exactly as it was.  The search digest was recorded before the
-search kept its chain counts incrementally; values, witnesses, bounds,
-node counts and prunes must all stay as they were.
+submask-lookup graph build and the dead marks of the greedy matching pass
+(now ``chains.greedy_match``) went in; both changes must leave every
+matching, and so every certificate and chain, exactly as it was.  The
+(14, 8) partition digest was recorded before the passes of the partition
+were regrouped into ``greedy_match`` calls; that partition has 3433
+chains, one more than the middle level (see the strict xfail in
+``test_chains.py``), and the digest pins the output as it is, not as it
+should be.  The search digest was recorded before the search kept its
+chain counts incrementally; values, witnesses, bounds, node counts and
+prunes must all stay as they were.
 """
 
 import hashlib
@@ -69,6 +74,9 @@ PARTITION_DIGESTS = {
     12: "7a8b2f4db62b9b91030b41adb941a44d8c8d42590d8041121ce77c6e6350e8a6",
 }
 
+# bounded_chain_partition(14, 8), where the wide pass of the partition fires.
+PARTITION_14_8_DIGEST = "1db8fdf65f24447174bc2507cb7913b53de9fb7333d0b4e4a109658dfb79335e"
+
 # Every h and g search of `report --n-min 3 --n-max 12`, at 5,000 nodes each.
 SEARCH_DIGEST = "b235584a565a6cb49ce75d6d2bf9f9c424e6b7091685f62774f87582294767c1"
 
@@ -101,6 +109,10 @@ def test_width_is_byte_identical(name):
 @pytest.mark.parametrize("k", range(13))
 def test_partition_is_byte_identical(k):
     assert partition_digest(k) == PARTITION_DIGESTS[k]
+
+
+def test_partition_14_8_is_byte_identical():
+    assert digest(bounded_chain_partition(14, 8).to_json()) == PARTITION_14_8_DIGEST
 
 
 def search_digest():

@@ -249,7 +249,7 @@ class TestChainCounts:
         l = data.draw(st.integers(m, n - m))
         levels = [level_masks(n, i) for i in range(m, l + 1)]
         covers = analysis.cover_lists(levels, n)
-        state = search._ChainCounts(levels, covers, search._lower_covers(levels, covers))
+        state = search._ChainCounts(n, levels, covers, search._lower_covers(levels, covers))
         flat = [v for lv in levels for v in lv]
 
         def snapshot():
@@ -264,6 +264,7 @@ class TestChainCounts:
             assert state.key == sum(1 << flat.index(v) for v in selection)
             assert state.selection() == selection
 
+        check(set())
         initial = snapshot()
         stack = []
         for select in data.draw(st.lists(st.booleans(), max_size=10)):
