@@ -11,8 +11,10 @@ randomness anywhere, hence no seed flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from typing import Optional
 
@@ -173,61 +175,100 @@ def _flag_token(label: str, value: Optional[bool]) -> str:
     return label.replace("~", "=" if value else "!=")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_stdout() -> None:
+    # A worker may be forked while the parent's sys.stdout holds CSV rows it
+    # has not flushed yet; the worker flushes sys.stdout when it exits, and
+    # would print those rows a second time.
+    sys.stdout = None
+
+
+def _conjecture_report(task):
+    n, m, l, budget, node_cap = task
+    return search.conjecture_report(n, m, l, budget, node_cap=node_cap)
+
+
+def _search_in_workers(tasks):
+    """Yield ``search.conjecture_report`` of each ``(n, m, l, budget, node_cap)``, in order.
+
+    Each task runs in a fresh forked process, up to one per usable CPU at a
+    time: a long-lived worker would keep the memory of the largest search it
+    ever ran.  Fork keeps what the parent has set on the modules, and only
+    the report comes back.  Closing the generator stops every worker.
+    """
+    if not tasks:
+        return
+    import multiprocessing  # here, so that the other commands never import it
+
+    context = multiprocessing.get_context("fork")
+    processes = min(_usable_cpus(), len(tasks))
+    with context.Pool(processes, _forget_stdout, maxtasksperchild=1) as pool:
+        yield from pool.imap(_conjecture_report, tasks, chunksize=1)
+
+
 def report_rows(n_values, m_values, budget, node_cap):
     """Yield one report row per instance (n, m, l) with m <= l <= n - m.
 
     Instances whose lattice exceeds ``node_cap`` keep their formula columns
-    but get SKIPPED search cells.  Exact cells must satisfy g <= h <=
-    construction count, which holds for every instance; a row breaking it
-    raises InternalError.
+    but get SKIPPED search cells.  The other instances are searched in
+    worker processes (``_search_in_workers``), and their rows still come in
+    instance order.  Exact cells must satisfy g <= h <= construction count,
+    which holds for every instance; a row breaking it raises InternalError.
     """
-    for n in n_values:
-        for m in m_values:
-            if m > n - m:
-                continue
-            for l in range(m, n - m + 1):
-                conjectured = formulas.conjectured_min_width(n, m, l)
-                g_formula = formulas.per_level_bound_value(n, m, l)
-                counts = constructions.method_counts(n, m, l)
-                construction = min(counts.values()) if counts else None
-                oversize = TruncatedLattice(n, m, l).node_count > node_cap
-                if oversize:
-                    h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
-                else:
-                    rep = search.conjecture_report(n, m, l, budget, node_cap=node_cap)
-                    h, g = rep.searched_h.value, rep.searched_g.value
-                    if h is not None and (
-                        construction is not None and h > construction
-                        or g is not None and g > h
-                    ):
-                        raise InternalError(
-                            f"g <= h <= construction fails at n={n} m={m} l={l}: "
-                            f"g={g} h={h} construction={construction}"
-                        )
-                    h_cell = _search_cell(rep.searched_h)
-                    g_cell = _search_cell(rep.searched_g)
-                    flags = ";".join(
-                        [
-                            _flag_token("h~conj", rep.equal_flags["h_matches_conjectured"]),
-                            _flag_token("g~h", rep.equal_flags["g_matches_h"]),
-                            _flag_token(
-                                "constr~conj",
-                                rep.equal_flags["construction_matches_conjectured"],
-                            ),
-                        ]
+    instances = [
+        (n, m, l) for n in n_values for m in m_values if m <= n - m for l in range(m, n - m + 1)
+    ]
+    in_cap = [TruncatedLattice(n, m, l).node_count <= node_cap for n, m, l in instances]
+    tasks = [(*inst, budget, node_cap) for inst, ok in zip(instances, in_cap) if ok]
+    with contextlib.closing(_search_in_workers(tasks)) as reports:
+        for (n, m, l), searched in zip(instances, in_cap):
+            conjectured = formulas.conjectured_min_width(n, m, l)
+            g_formula = formulas.per_level_bound_value(n, m, l)
+            counts = constructions.method_counts(n, m, l)
+            construction = min(counts.values()) if counts else None
+            if not searched:
+                h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
+            else:
+                rep = next(reports)
+                h, g = rep.searched_h.value, rep.searched_g.value
+                if h is not None and (
+                    construction is not None and h > construction
+                    or g is not None and g > h
+                ):
+                    raise InternalError(
+                        f"g <= h <= construction fails at n={n} m={m} l={l}: "
+                        f"g={g} h={h} construction={construction}"
                     )
-                yield [
-                    str(n),
-                    str(m),
-                    str(l),
-                    str(l - m + 1),
-                    str(conjectured),
-                    "" if g_formula is None else str(g_formula),
-                    "" if construction is None else str(construction),
-                    h_cell,
-                    g_cell,
-                    flags,
-                ]
+                h_cell = _search_cell(rep.searched_h)
+                g_cell = _search_cell(rep.searched_g)
+                flags = ";".join(
+                    [
+                        _flag_token("h~conj", rep.equal_flags["h_matches_conjectured"]),
+                        _flag_token("g~h", rep.equal_flags["g_matches_h"]),
+                        _flag_token(
+                            "constr~conj",
+                            rep.equal_flags["construction_matches_conjectured"],
+                        ),
+                    ]
+                )
+            yield [
+                str(n),
+                str(m),
+                str(l),
+                str(l - m + 1),
+                str(conjectured),
+                "" if g_formula is None else str(g_formula),
+                "" if construction is None else str(construction),
+                h_cell,
+                g_cell,
+                flags,
+            ]
 
 
 def cmd_report(args) -> int:

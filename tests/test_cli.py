@@ -1,10 +1,22 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
-from boolcut import InternalError, TruncatedLattice, cli, constructions, search
-from boolcut.cli import main
+from boolcut import (
+    InternalError,
+    SearchBudget,
+    TruncatedLattice,
+    analysis,
+    cli,
+    constructions,
+    search,
+)
+from boolcut.cli import main, report_rows
 
 
 # Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
@@ -303,6 +315,13 @@ class TestSearch:
 
 
 class TestReport:
+    @pytest.fixture(autouse=True)
+    def no_worker_outlives_the_test(self):
+        """The searches run in worker processes; every report test, whether it
+        succeeds, exits 2 or raises, must leave none of them running."""
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_five_rows_for_small_range(self, capsys):
         code, out, _ = run(
             capsys, "report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"
@@ -354,6 +373,24 @@ class TestReport:
         with pytest.raises(InternalError, match="g <= h <= construction fails"):
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
+    def test_worker_internal_error_reaches_main(self, monkeypatch):
+        real = analysis.width
+
+        def off_by_one(nodes):
+            rep = real(nodes)
+            return dataclasses.replace(rep, width=rep.width + 1)
+
+        monkeypatch.setattr(analysis, "width", off_by_one)
+        with pytest.raises(InternalError, match="failed re-verification"):
+            main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
+
+    def test_closing_the_rows_stops_the_workers(self):
+        # Later searches are still running when the rows are closed; the
+        # class fixture checks that closing stopped them.
+        rows = report_rows(range(3, 13), range(0, 33), SearchBudget(50_000, 3600.0), 64)
+        assert next(rows)[:3] == ["3", "0", "0"]
+        rows.close()
+
     def test_golden_stability(self, capsys):
         _, out, _ = run(
             capsys, "report", "--n-min", "3", "--n-max", "4", "--m-min", "0", "--m-max", "2"
@@ -401,6 +438,21 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
     assert not path.parent.exists()
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    # construct, verify and search never start workers, so they must not pay
+    # for the multiprocessing modules at start-up.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, boolcut.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_unknown_command_exits_2(capsys):

@@ -10,7 +10,9 @@ chains, one more than the middle level (see the strict xfail in
 ``test_chains.py``), and the digest pins the output as it is, not as it
 should be.  The search digest was recorded before the search kept its
 chain counts incrementally; values, witnesses, bounds, node counts and
-prunes must all stay as they were.
+prunes must all stay as they were.  The report digest was recorded before
+``report_rows`` moved its searches to worker processes; every cell and the
+order of the rows must stay as they were.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from boolcut import (
     exact_min_width,
     width,
 )
+from boolcut.cli import report_rows
 from boolcut.search import DEFAULT_NODE_CAP
 
 # The cutsets that the certify workload of the benchmark verifies.
@@ -79,6 +82,9 @@ PARTITION_14_8_DIGEST = "1db8fdf65f24447174bc2507cb7913b53de9fb7333d0b4e4a109658
 
 # Every h and g search of `report --n-min 3 --n-max 12`, at 5,000 nodes each.
 SEARCH_DIGEST = "b235584a565a6cb49ce75d6d2bf9f9c424e6b7091685f62774f87582294767c1"
+
+# Every row of `report --n-min 3 --n-max 12`, at 5,000 nodes per search.
+REPORT_DIGEST = "ccd4b2adce2e0c15e5c7c426eb210ec089090360f677efae78fe9632ebe90f38"
 
 
 def digest(obj) -> str:
@@ -138,3 +144,11 @@ def search_digest():
 
 def test_search_is_byte_identical():
     assert search_digest() == SEARCH_DIGEST
+
+
+def report_digest():
+    return digest(list(report_rows(range(3, 13), range(0, 33), SearchBudget(5_000, 3600.0), 64)))
+
+
+def test_report_is_byte_identical():
+    assert report_digest() == REPORT_DIGEST
