@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
+import threading
 from typing import Optional
 
 from . import analysis, constructions, formulas, search
@@ -175,23 +177,61 @@ def _flag_token(label: str, value: Optional[bool]) -> str:
     return label.replace("~", "=" if value else "!=")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker, shown as its cause."""
 
 
-def _forget_stdout() -> None:
-    # A worker may be forked while the parent's sys.stdout holds CSV rows it
-    # has not flushed yet; the worker flushes sys.stdout when it exits, and
-    # would print those rows a second time.
+def _exit_with_parent(sentinel) -> None:
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _search_worker(sender, task) -> None:
+    """Search one ``(n, m, l, budget, node_cap)`` task in a forked worker.
+
+    Sends ``(report, None)``, or ``(exception, traceback text)`` when the
+    search raises.  A thread ends the worker once the parent has ended,
+    however it ended, so that no search outlives ``report``.
+    """
+    import signal
+    import traceback
+    from multiprocessing import parent_process
+
+    # The parent owns Ctrl-C and stops its workers.  The worker flushes
+    # sys.stdout when it exits, and would print again the CSV rows that the
+    # parent had not flushed when it forked.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     sys.stdout = None
-
-
-def _conjecture_report(task):
+    watch = threading.Thread(target=_exit_with_parent, args=(parent_process().sentinel,))
+    watch.daemon = True
+    watch.start()
     n, m, l, budget, node_cap = task
-    return search.conjecture_report(n, m, l, budget, node_cap=node_cap)
+    try:
+        result = search.conjecture_report(n, m, l, budget, node_cap=node_cap), None
+    except Exception as exc:
+        result = exc, traceback.format_exc()
+    sender.send(result)
+
+
+def _collect(receiver, worker, task):
+    """The report a finished worker sent, or the exception to raise in its place."""
+    with receiver:
+        try:
+            value, text = receiver.recv()
+        except EOFError:
+            value = text = None
+    worker.join()
+    if value is None:
+        n, m, l, *_ = task
+        return InternalError(
+            f"the search worker for n={n} m={m} l={l} exited with code "
+            f"{worker.exitcode} and sent no result"
+        )
+    if text is not None:
+        value.__cause__ = _WorkerTraceback(text)
+    return value
 
 
 def _search_in_workers(tasks):
@@ -199,17 +239,48 @@ def _search_in_workers(tasks):
 
     Each task runs in a fresh forked process, up to one per usable CPU at a
     time: a long-lived worker would keep the memory of the largest search it
-    ever ran.  Fork keeps what the parent has set on the modules, and only
-    the report comes back.  Closing the generator stops every worker.
+    ever ran.  A free CPU takes the next task as soon as any worker ends.
+    Fork keeps what the parent has set on the modules, and only the report
+    comes back.  An exception raised in a worker is raised here, in its
+    task's turn; so is an InternalError for a worker that ended without a
+    result.  Closing the generator kills every worker still running.
     """
     if not tasks:
         return
     import multiprocessing  # here, so that the other commands never import it
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    processes = min(_usable_cpus(), len(tasks))
-    with context.Pool(processes, _forget_stdout, maxtasksperchild=1) as pool:
-        yield from pool.imap(_conjecture_report, tasks, chunksize=1)
+    cpus = len(os.sched_getaffinity(0))
+    pending = enumerate(tasks)
+    running = {}  # receiver -> (index, worker)
+    done = {}  # index -> report or exception
+
+    def start(i, task) -> None:
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=_search_worker, args=(sender, task), daemon=True)
+        worker.start()
+        # The worker now holds the only sending end, so the receiver reads
+        # end-of-file once the worker has exited, whether it sent or not.
+        sender.close()
+        running[receiver] = i, worker
+
+    try:
+        for index in range(len(tasks)):
+            while index not in done:
+                for i, task in itertools.islice(pending, cpus - len(running)):
+                    start(i, task)
+                for receiver in wait(list(running)):
+                    i, worker = running.pop(receiver)
+                    done[i] = _collect(receiver, worker, tasks[i])
+            value = done.pop(index)
+            if isinstance(value, Exception):
+                raise value
+            yield value
+    finally:
+        for _, worker in running.values():
+            worker.kill()
+            worker.join()
 
 
 def report_rows(n_values, m_values, budget, node_cap):

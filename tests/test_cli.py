@@ -2,8 +2,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -384,12 +386,47 @@ class TestReport:
         with pytest.raises(InternalError, match="failed re-verification"):
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
-    def test_closing_the_rows_stops_the_workers(self):
-        # Later searches are still running when the rows are closed; the
+    def test_closing_the_rows_stops_the_workers(self, monkeypatch):
+        # Every later search is still running when the rows are closed; the
         # class fixture checks that closing stopped them.
+        real = search.conjecture_report
+
+        def stalls_after_3_0_0(n, m, l, budget, node_cap):
+            if (n, m, l) != (3, 0, 0):
+                time.sleep(600)
+            return real(n, m, l, budget, node_cap=node_cap)
+
+        monkeypatch.setattr(search, "conjecture_report", stalls_after_3_0_0)
         rows = report_rows(range(3, 13), range(0, 33), SearchBudget(50_000, 3600.0), 64)
         assert next(rows)[:3] == ["3", "0", "0"]
         rows.close()
+
+    def test_worker_that_dies_without_a_result_raises(self, monkeypatch):
+        # As when a worker is killed from outside, say by the OOM killer.
+        real = search.conjecture_report
+
+        def dies_on_4_1_2(n, m, l, budget, node_cap):
+            if (n, m, l) == (4, 1, 2):
+                os._exit(1)
+            return real(n, m, l, budget, node_cap=node_cap)
+
+        monkeypatch.setattr(search, "conjecture_report", dies_on_4_1_2)
+        message = "n=4 m=1 l=2 exited with code 1 and sent no result"
+        with pytest.raises(InternalError, match=message):
+            main(["report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
+
+    def test_worker_errors_are_raised_in_row_order(self, monkeypatch):
+        # The later instance fails first; the report still raises the error
+        # of the earlier one, with the worker's traceback as its cause.
+        def fails_on_3_1(n, m, l, budget, node_cap):
+            if l == 1:
+                time.sleep(0.5)
+            raise InternalError(f"planted at l={l}")
+
+        monkeypatch.setattr(search, "conjecture_report", fails_on_3_1)
+        with pytest.raises(InternalError, match="planted at l=1") as exc:
+            main(["report", "--n-min", "3", "--n-max", "3", "--m-min", "1", "--m-max", "1"])
+        assert "in fails_on_3_1" in str(exc.value.__cause__)
 
     def test_golden_stability(self, capsys):
         _, out, _ = run(
@@ -440,19 +477,73 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert not path.parent.exists()
 
 
+def _python_env():
+    """The environment for a Python subprocess that imports this boolcut."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_importing_the_cli_imports_no_process_pool():
     # construct, verify and search never start workers, so they must not pay
     # for the multiprocessing modules at start-up.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", "import sys, boolcut.cli; print('multiprocessing' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_python_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     assert out.stdout == "False\n"
+
+
+_STALLED_REPORT = """
+import os, sys, time
+from boolcut import SearchBudget, cli, search
+
+def stall(n, m, l, budget, node_cap):
+    os.write(2, b"%d\\n" % os.getpid())  # one write, whole even when workers race
+    time.sleep(600)
+
+search.conjecture_report = stall
+list(cli.report_rows(range(3, 5), range(0, 3), SearchBudget(10, 1.0), 64))
+"""
+
+
+def _running(pid):
+    """Whether the process is alive: neither gone nor a zombie left unreaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_workers_exit_when_report_is_killed():
+    # A SIGKILL runs no cleanup in the parent, so each worker must notice on
+    # its own that the parent is gone.  The stalled report has 15 instances.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_REPORT],
+        env=_python_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    workers = []
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), 15)):
+            workers.append(int(proc.stderr.readline()))
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_unknown_command_exits_2(capsys):
