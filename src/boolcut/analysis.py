@@ -108,6 +108,10 @@ class InclusionMatcher:
         if v not in self.pair_down:
             augment(v, self.below, self.pair_up, self.pair_down, set())
 
+    def antichain(self) -> list[int]:
+        """A maximum antichain of the current set, from the matching it holds."""
+        return _koenig_antichain(self.nodes, self.above, self.pair_up, self.pair_down)
+
     def pop(self) -> None:
         v = self.nodes.pop()
         self.pair_up, self.pair_down = self._trail.pop()
@@ -117,6 +121,32 @@ class InclusionMatcher:
             self.below[u].pop()
         del self.above[v]
         del self.below[v]
+
+
+def _koenig_antichain(nodes, above, pair_up, pair_down) -> list[int]:
+    """A maximum antichain of ``nodes``, read off a maximum inclusion matching.
+
+    ``above[u]`` lists the nodes properly containing u, ``pair_up[u]`` is the
+    upper mate of u's lower copy and ``pair_down[x]`` the lower mate of x's
+    upper copy.  Koenig: alternate from the unmatched lower copies, over any
+    edge to an upper copy and back over its matching edge; the nodes whose
+    lower copy is reached and whose upper copy is not form an antichain of
+    ``len(nodes) - len(pair_up)`` nodes.  They come in the order of ``nodes``.
+    Every upper copy reached is matched, or the matching would not be
+    maximum, and distinct upper copies have distinct mates, so each mate is
+    reached once.
+    """
+    z_low = {u for u in nodes if u not in pair_up}
+    z_up: set[int] = set()
+    stack = list(z_low)
+    while stack:
+        for x in above[stack.pop()]:
+            if x not in z_up:
+                z_up.add(x)
+                mate = pair_down[x]
+                z_low.add(mate)
+                stack.append(mate)
+    return [u for u in nodes if u in z_low and u not in z_up]
 
 
 def _shared_ground(nodes: Iterable[NodeSet]) -> tuple[list[int], int]:
@@ -179,22 +209,7 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
     greedy_match(masks, below, pair_up, pair_down)
     w = len(masks) - len(pair_up)
 
-    # Koenig: alternate from unmatched lower copies; the antichain is the
-    # set of nodes whose lower copy is reached and upper copy is not.
-    z_low = {u for u in masks if u not in pair_up}
-    z_up: set[int] = set()
-    stack = sorted(z_low)
-    while stack:
-        u = stack.pop()
-        for x in above[u]:
-            if x in z_up:
-                continue
-            z_up.add(x)
-            mate = pair_down.get(x)
-            if mate is not None and mate not in z_low:
-                z_low.add(mate)
-                stack.append(mate)
-    antichain = [u for u in masks if u in z_low and u not in z_up]
+    antichain = _koenig_antichain(masks, above, pair_up, pair_down)
 
     heads = [u for u in masks if u not in pair_down]
     cover: list[tuple[int, ...]] = []

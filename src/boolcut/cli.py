@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 internal error (a result failed its own
 re-verification; a bug, reported with a traceback), 2 parameter or input
 error, 3 verification failure (a claimed cutset is not one), 4 search
-budget exhausted.  All output is JSON or CSV; every command is
+budget exhausted.  A reader that closes stdout early ends the command
+quietly with 0.  All output is JSON or CSV; every command is
 deterministic, so artifacts are stable across runs (there is no
 randomness anywhere, hence no seed flags).
 """
@@ -442,10 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout is gone, as in `boolcut report | head -1`.
+        # Python flushes stdout again at exit; /dev/null takes that write.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,14 @@ allowed products on each level sum to less than U no completion exists
 and the selection is cut.  The least missed chain is the greedy walk over
 ``up`` (``analysis.least_missed_chain``).
 
+For h the bound also uses the width.  Once the selection S has width k,
+the target, take a maximum antichain A of S (Dilworth, 1950), read off the
+incremental matching by Koenig's construction (1931).  A node incomparable
+to every member of A would make A plus that node an antichain of k + 1
+nodes, so a completion of width <= k adds only nodes comparable to some
+member of A: only their products count towards the bound, and any other
+candidate is cut before it is pushed.
+
 Both counts are kept incrementally (``_ChainCounts``): a decision call
 starts them from closed forms on the empty selection, then each selected
 node v removes exactly the unhit chains through v, ``up[v]`` times the
@@ -66,7 +74,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import perm
 from operator import mul
 from typing import Optional
@@ -111,7 +119,9 @@ class SearchResult:
     """Outcome of an exact search: a value with witness, or bounds.
 
     EXACT implies lower == value == upper and a witness that has been
-    re-verified (it is a cutset and attains the value).  The witness
+    re-verified (it is a cutset and attains the value).  Otherwise ``upper``
+    is the least of the two extreme level sizes and the construction counts
+    (``constructions.method_counts``), each the objective of a cutset.  The witness
     stores the selected nodes as singleton chains; it need not admit a
     saturated chain cover of minimum size.  ``prunes`` counts the cut
     branches by reason: ``objective``, ``chain_bound`` and ``memo``.
@@ -165,21 +175,29 @@ class _Budget:
             raise _Exhausted
 
 
-def _short_of_chains(up, down, room) -> bool:
+def _short_of_chains(up, down, room, allowed=None) -> bool:
     """True when no allowed completion can hit every unhit chain.
 
     ``up`` and ``down`` are the per-level counts of ``_ChainCounts`` and
     ``room`` the most nodes a completion may still add on each level.
-    Exactly ``down[v] * up[v]`` unhit chains pass through v, and U, the sum
-    of ``up`` over the bottom level, counts them all.
+    ``allowed``, unless None, holds one byte per lattice node, at
+    ``_ChainCounts.base[i] + j`` for the j-th node of level m + i, and only
+    the nodes whose byte is 1 may be added.  Exactly ``down[v] * up[v]``
+    unhit chains pass through v, and U, the sum of ``up`` over the bottom
+    level, counts them all.
     """
     total = sum(up[0])
     reach = 0
+    b = 0
     for ups, downs, r in zip(up, down, room):
         if r:
-            reach += sum(sorted(map(mul, downs, ups), reverse=True)[:r])
+            products = map(mul, downs, ups)
+            if allowed is not None:
+                products = compress(products, allowed[b:])
+            reach += sum(sorted(products, reverse=True)[:r])
             if reach >= total:
                 return False
+        b += len(ups)
     return reach < total
 
 
@@ -289,7 +307,52 @@ class _ChainCounts:
         return {v for b, v in enumerate(flat) if self.key >> b & 1}
 
 
-def _decide(n, levels, covers, below, limit, width, bud, lowest) -> Optional[set[int]]:
+def _comparable(levels, covers, below) -> dict[int, int]:
+    """For each lattice node, a mask of the nodes comparable to it, itself included.
+
+    The j-th node of level m + i has bit ``8 * (base[i] + j)``, ``base`` as
+    in ``_ChainCounts``, so that an OR of masks, written out by
+    ``to_bytes(len, "little")``, has one byte per node, 1 where the node is
+    comparable to one of the OR'ed nodes.  A node's down-set is itself and
+    the down-sets of its lower covers, its up-set itself and the up-sets of
+    its covers.
+    """
+    base = list(accumulate(map(len, levels), initial=0))
+    downs = [[1 << 8 * (b + j) for j in range(len(lv))] for b, lv in zip(base, levels)]
+    ups = [row[:] for row in downs]
+    for i, rows in enumerate(below, 1):
+        for j, cs in enumerate(rows):
+            for c in cs:
+                downs[i][j] |= downs[i - 1][c]
+    for i in range(len(covers) - 1, -1, -1):
+        for j, cs in enumerate(covers[i]):
+            for c in cs:
+                ups[i][j] |= ups[i + 1][c]
+    return {
+        v: d | u
+        for lv, drow, urow in zip(levels, downs, ups)
+        for v, d, u in zip(lv, drow, urow)
+    }
+
+
+def _addable(matcher, limit, comparable, size) -> Optional[bytes]:
+    """The nodes that a completion of width <= ``limit`` may still add, or None for all.
+
+    While the matcher's width is below ``limit`` any node may be added.  At
+    ``limit`` only the nodes comparable to a member of the maximum antichain
+    A that the matcher reads off its matching may be: one byte per node of
+    the ``size`` lattice nodes, 1 where it may be added (see ``_comparable``
+    and ``_decide``).
+    """
+    if matcher.width < limit:
+        return None
+    mask = 0
+    for a in matcher.antichain():
+        mask |= comparable[a]
+    return mask.to_bytes(size, "little")
+
+
+def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The objective is the width when ``width`` is true (h), else the largest
@@ -325,8 +388,20 @@ def _decide(n, levels, covers, below, limit, width, bud, lowest) -> Optional[set
     nodes below and above v.  ``down`` counts live paths from the bottom
     level even where ``up`` is 0; that leaves every product unchanged,
     because a product with ``up`` 0 is 0 and a live path into a node with
-    positive ``up`` runs only through nodes with positive ``up``.  Returns
-    the selection, or None when no such selection exists.
+    positive ``up`` runs only through nodes with positive ``up``.
+
+    For h, once the width of the selection S equals ``limit``, only the
+    nodes that ``_addable`` allows may be added, in the bound and among the
+    candidates.  Sound: let A be a maximum antichain of S, so |A| = ``limit``.
+    Any cutset T of width <= ``limit`` that holds S adds only nodes
+    comparable to some member of A, since for a node v of T incomparable to
+    all of them A + v would be an antichain of T with ``limit`` + 1 nodes.
+    So every unhit chain needs an added node among the allowed ones, and
+    the bound sums only their products; a cut selection is infeasible and
+    goes into the memo like any other.  A candidate outside the allowed
+    nodes would fail the push for the same reason, so it is cut as an
+    ``objective`` prune before the push, with the same counts.  Returns the
+    selection, or None when no such selection exists.
     """
     m = levels[0][0].bit_count()
     pinned = (1 << lowest) - 1
@@ -335,7 +410,7 @@ def _decide(n, levels, covers, below, limit, width, bud, lowest) -> Optional[set
         matcher.push(pinned)
     st = _ChainCounts(n, levels, covers, below)
     st.select(lowest - m, levels[lowest - m].index(pinned))
-    up, down = st.up, st.down
+    up, down, base = st.up, st.down, st.base
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
     seen: set[int] = set()
@@ -346,16 +421,17 @@ def _decide(n, levels, covers, below, limit, width, bud, lowest) -> Optional[set
         if not any(up[0]):
             return True
         seen.add(st.key)
-        if _short_of_chains(up, down, room):
+        allowed = _addable(matcher, limit, comparable, base[-1]) if width else None
+        if _short_of_chains(up, down, room, allowed):
             prunes["chain_bound"] += 1
             return False
         path = least_missed_chain(levels, covers, up)
         # path[i] lies on level m + i; candidates below lowest are skipped.
         for i in range(lowest - m, len(path)):
-            if not room[i]:
+            j = path[i]
+            if not room[i] or allowed is not None and not allowed[base[i] + j]:
                 prunes["objective"] += 1
                 continue
-            j = path[i]
             if width:
                 matcher.push(levels[i][j])
                 if matcher.width > limit:
@@ -400,16 +476,20 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     levels = [level_masks(n, i) for i in range(m, l + 1)]
     covers = cover_lists(levels, n)
     below = _lower_covers(levels, covers)
+    comparable = _comparable(levels, covers, below) if width else None
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
-    # Any single level between m and l is itself a cutset, which bounds both
-    # objectives by the smaller of the two extreme level sizes.
-    trivial_upper = min(len(levels[0]), len(levels[-1]))
+    # Any single level between m and l is itself a cutset, and so is every
+    # construction, with k chains holding at most k nodes on a level and
+    # having width at most k; both bound both objectives.
+    upper = min(len(levels[0]), len(levels[-1]), *method_counts(n, m, l).values())
     target = 1
     try:
-        while target <= trivial_upper:
+        while target <= upper:
             for lowest in range(m, l + 1):
-                selection = _decide(n, levels, covers, below, target, width, bud, lowest)
+                selection = _decide(
+                    n, levels, covers, below, comparable, target, width, bud, lowest
+                )
                 if selection is None:
                     continue
                 wit = _witness(n, m, l, selection)
@@ -429,12 +509,12 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
                     bud.prunes, bud.memo_peak, elapsed,
                 )
             target += 1
-        raise InternalError("deepening exceeded the trivial upper bound")
+        raise InternalError(f"deepening for n={n} m={m} l={l} passed the upper bound {upper}")
     except _Exhausted:
         elapsed = time.monotonic() - start
         status = SearchStatus.BOUNDS if target > 1 else SearchStatus.UNKNOWN
         return SearchResult(
-            status, None, target, trivial_upper, None, bud.expanded, bud.prunes,
+            status, None, target, upper, None, bud.expanded, bud.prunes,
             bud.memo_peak, elapsed,
         )
 

@@ -236,6 +236,11 @@ class TestIncrementalMatcher:
                 matcher.pop()
                 stack.pop()
             assert matcher.width == brute_force_width(stack)
+            # The antichain read off the matching is a maximum one.
+            antichain = matcher.antichain()
+            assert len(set(antichain)) == len(antichain) == matcher.width
+            assert set(antichain) <= set(stack)
+            assert not any(a != b and a & ~b == 0 for a in antichain for b in antichain)
 
 
 class TestReportJson:

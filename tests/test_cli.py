@@ -24,6 +24,8 @@ from boolcut.cli import main, report_rows
 # Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
 # `search --n 5 --m 1 --l 4` with `--target h` and `--target g` (minus the
 # elapsed time): the CLI contract is byte-for-byte stable, node counts included.
+# The counts of h were re-recorded when the antichain cut went in (6,435 nodes
+# before, with the same value and witness).
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -55,9 +57,9 @@ GOLDEN_SEARCH_JSON = {
         "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
     },
     "stats": {
-        "nodes_expanded": 6435,
-        "prunes": {"objective": 5307, "chain_bound": 1818, "memo": 1667},
-        "memo_peak": 4576,
+        "nodes_expanded": 4556,
+        "prunes": {"objective": 2516, "chain_bound": 1842, "memo": 936},
+        "memo_peak": 3487,
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -315,6 +317,16 @@ class TestSearch:
         )
         assert code == 4 and json.loads(out)["status"] == "UNKNOWN"
 
+    def test_h_6_1_4_settles_at_the_sweep_budget(self, capsys):
+        # The conjectured Delta_6(1) = 5; the node count is pinned by the
+        # search counts digest in test_golden.py.
+        code, out, _ = run(
+            capsys, "search", "--n", "6", "--m", "1", "--l", "4",
+            "--max-nodes", "50000", "--time-limit", "3600",
+        )
+        data = json.loads(out)
+        assert code == 0 and data["status"] == "EXACT" and data["value"] == 5
+
 
 class TestReport:
     @pytest.fixture(autouse=True)
@@ -544,6 +556,46 @@ def test_workers_exit_when_report_is_killed():
     finally:
         for pid in filter(_running, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+_MAIN_THEN_CHECK_WORKERS = """
+import multiprocessing, sys
+from boolcut import cli
+
+code = cli.main(sys.argv[1:])
+if multiprocessing.active_children():
+    sys.exit("a search worker outlived the command")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [
+        # As `boolcut report ... | head -1`: the report writes its header,
+        # then finds the pipe closed at a later write.
+        (["report", "--n-min", "3", "--n-max", "5"], 1),
+        # As `boolcut search ... | true`: the pipe is closed at the first write.
+        (["search", "--n", "4", "--m", "1", "--l", "2"], 0),
+    ],
+)
+def test_reader_closing_stdout_ends_the_command_quietly(argv, lines_read):
+    # Stdout is block-buffered, as it is for a user, so output is still
+    # buffered when the command ends.
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _MAIN_THEN_CHECK_WORKERS, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -16,6 +16,7 @@ from boolcut import (
     exact_min_per_level,
     exact_min_width,
     is_cutset,
+    method_counts,
     per_level_bound_value,
     width,
 )
@@ -135,6 +136,14 @@ class TestExactMinWidth:
         assert partial.status is SearchStatus.BOUNDS
         assert partial.lower <= full.value <= partial.upper
 
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
+    @pytest.mark.parametrize("n,m,l,upper", [(6, 1, 5, 5), (6, 2, 4, 9)])
+    def test_cut_off_upper_is_the_construction_count(self, run, n, m, l, upper):
+        # The trivial bound, the smaller extreme level, is 6 on (6,1,5) and 15 on (6,2,4).
+        r = run(n, m, l, SearchBudget(2000, 3600.0))
+        assert r.status is SearchStatus.BOUNDS
+        assert r.upper == min(method_counts(n, m, l).values()) == upper
+
     def test_deterministic_witness(self):
         a = exact_min_width(5, 2, 3)
         b = exact_min_width(5, 2, 3)
@@ -189,7 +198,7 @@ class TestChainBound:
     """The chain-counting prune of the search, against exhaustive branching."""
 
     @staticmethod
-    def prunes(n, m, l, selected, lowest, k):
+    def prunes(n, m, l, selected, lowest, k, allowed=None):
         levels = [level_masks(n, i) for i in range(m, l + 1)]
         covers = analysis.cover_lists(levels, n)
         found = analysis.missed_chain_masks(levels, covers, selected)
@@ -198,7 +207,7 @@ class TestChainBound:
         if found is None:
             return found, False
         down = live_prefix_counts(n, m, l, selected)
-        return found, search._short_of_chains(found[1], down, room)
+        return found, search._short_of_chains(found[1], down, room, allowed)
 
     def test_prunes_below_the_optimum(self):
         # h(4,1,2) = 3: with at most 2 nodes per level, the 12 chains of
@@ -237,6 +246,82 @@ class TestChainBound:
                 f"pruned, but {sorted(cut)} is a cutset of width "
                 f"{brute_force_width(cut)} with at most {k} nodes per level"
             )
+
+    @staticmethod
+    def no_completion_of_width(n, m, l, selected, lowest, k):
+        """No cutset that holds ``selected`` and adds nodes on levels >= lowest has width <= k."""
+        chains = list(iter_maximal_chains(n, m, l))
+        allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k
+        for cut in completions(chains, selected, allowed):
+            assert brute_force_width(cut) > k, (
+                f"pruned, but {sorted(cut)} is a cutset of width <= {k} holding {selected}"
+            )
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_width_cut_has_no_completion(self, n, data):
+        # The selection grows as in the search, by a node at or above lowest
+        # of the least missed chain; its width w is the target (saturated) or
+        # one below it.
+        m = data.draw(st.integers(0, n // 2))
+        l = data.draw(st.integers(m, n - m))
+        lowest = data.draw(st.integers(m, l))
+        levels = [level_masks(n, i) for i in range(m, l + 1)]
+        covers = analysis.cover_lists(levels, n)
+        pool = [v for lv in levels for v in lv]
+        selected = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            found = analysis.missed_chain_masks(levels, covers, set(selected))
+            if found is None:
+                break
+            on_chain = [v for v in found[0] if v.bit_count() >= lowest]
+            selected.append(data.draw(st.sampled_from(on_chain)))
+        w = brute_force_width(selected)
+        k = data.draw(st.sampled_from([max(w, 1), w + 1]))
+
+        matcher = analysis.InclusionMatcher()
+        for v in selected:
+            matcher.push(v)
+        comparable = search._comparable(levels, covers, search._lower_covers(levels, covers))
+        allowed = search._addable(matcher, k, comparable, len(pool))
+        if w < k:
+            assert allowed is None
+        else:
+            antichain = matcher.antichain()
+            assert [bool(b) for b in allowed] == [
+                any(v & ~a == 0 or a & ~v == 0 for a in antichain) for v in pool
+            ]
+        if self.prunes(n, m, l, set(selected), lowest, k, allowed)[1]:
+            self.no_completion_of_width(n, m, l, selected, lowest, k)
+
+    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4)])
+    def test_width_cut_on_the_search_states(self, monkeypatch, n, m, l):
+        # Random selections seldom reach the states where only the width cut
+        # prunes, so every selection that the search itself cuts with it is
+        # checked, and those that only it cuts must exist.
+        real_addable, real_short = search._addable, search._short_of_chains
+        state = {}
+        cut = []
+
+        def addable(matcher, limit, comparable, size):
+            state.update(selected=list(matcher.nodes), k=limit)
+            return real_addable(matcher, limit, comparable, size)
+
+        def short_of_chains(up, down, room, allowed=None):
+            pruned = real_short(up, down, room, allowed)
+            if allowed is not None and pruned:
+                cut.append((state["selected"], state["k"], not real_short(up, down, room)))
+            return pruned
+
+        monkeypatch.setattr(search, "_addable", addable)
+        monkeypatch.setattr(search, "_short_of_chains", short_of_chains)
+        exact_min_width(n, m, l)
+        assert any(only for _, _, only in cut)
+        for selected, k, only in cut:
+            if only:
+                # The pinned node is a lowest one.
+                lowest = min(v.bit_count() for v in selected)
+                self.no_completion_of_width(n, m, l, selected, lowest, k)
 
 
 class TestChainCounts:
