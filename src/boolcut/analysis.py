@@ -239,6 +239,19 @@ def is_antichain(nodes: Iterable[NodeSet]) -> bool:
     return not any(_proper_subsets(masks))
 
 
+def chain_certificate(chains: tuple[Chain, ...]) -> Optional[int]:
+    """The width of the chains' union when the chains prove it, else None.
+
+    Weak duality: k disjoint chains cover the union, and an antichain meets
+    each chain at most once, so the width is at most k; k pairwise
+    incomparable bottoms are an antichain, so the width is at least k.
+    """
+    distinct = {node.bits for ch in chains for node in ch}
+    if sum(map(len, chains)) != len(distinct) or not is_antichain(ch.bottom for ch in chains):
+        return None
+    return len(chains)
+
+
 def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
     """Positions of each node's covers in the next level, for every level but the top.
 

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boolcut import (
     InternalError,
@@ -16,9 +20,11 @@ from boolcut import (
     analysis,
     cli,
     constructions,
+    formulas,
     search,
 )
 from boolcut.cli import main, report_rows
+from boolcut.constructions import Cutset
 
 
 # Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
@@ -174,6 +180,48 @@ class TestConstruct:
             assert TruncatedLattice(n, m, l).node_count <= cli.DEFAULT_MAX_LATTICE_NODES
 
 
+@st.composite
+def chain_families(draw):
+    """``(n, m, l, chains)`` for a cutset file over B_n(m, l) with n <= 6.
+
+    Each chain is saturated: the prefixes of sizes lo..hi of a permutation
+    of [n].  Half the families are disjoint chains with every bottom on
+    level m, which prove their width; the others start anywhere.  Then at
+    most one fault goes in: a node put into a second chain, a node above a
+    bottom added as a chain of its own, or the singleton chains of a
+    comparable pair.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, n))
+    l = draw(st.integers(m, n))
+    disjoint = draw(st.booleans())
+    fault = draw(st.sampled_from([None, "shared", "above", "pair"]))
+
+    def prefixes(lo, hi):
+        order = draw(st.permutations(range(1, n + 1)))
+        return [sorted(order[:i]) for i in range(lo, hi + 1)]
+
+    chains, used = [], set()
+    for _ in range(draw(st.integers(0, 16))):
+        lo = m if disjoint else draw(st.integers(m, l))
+        chain = prefixes(lo, draw(st.integers(lo, l)))
+        nodes = {tuple(x) for x in chain}
+        if not (disjoint and nodes & used):
+            used |= nodes
+            chains.append(chain)
+    bottoms = [ch[0] for ch in chains if len(ch[0]) < l]
+    if fault == "shared" and chains:
+        chains.append([draw(st.sampled_from(draw(st.sampled_from(chains))))])
+    elif fault == "above" and bottoms:
+        b = draw(st.sampled_from(bottoms))
+        e = draw(st.sampled_from([x for x in range(1, n + 1) if x not in b]))
+        chains.append([sorted([*b, e])])
+    elif fault == "pair" and m < l:
+        low, *_, high = prefixes(m, draw(st.integers(m + 1, l)))
+        chains += [[low], [high]]
+    return n, m, l, chains
+
+
 class TestVerify:
     def _construct(self, capsys, tmp_path, n, m, l, method="auto"):
         path = tmp_path / f"cut_{n}_{m}_{l}.json"
@@ -212,6 +260,48 @@ class TestVerify:
         path = self._construct(capsys, tmp_path, n, m, l, method)
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["is_cutset"] is True
+
+    @given(chain_families())
+    @example((2, 1, 1, [[[1]], [[1]]]))  # one node in two chains: width 1, not 2
+    @example((2, 1, 2, [[[1]], [[1, 2]]]))  # comparable bottoms: width 1, not 2
+    @settings(max_examples=150, deadline=None)
+    def test_width_matches_the_matching(self, family):
+        n, m, l, chains = family
+        data = {"format": 1, "n": n, "m": m, "l": l, "chains": chains}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cut.json")
+            with open(path, "w") as f:
+                json.dump(data, f)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", path])
+        got = json.loads(out.getvalue())
+        cut = Cutset.from_json(data)
+        want = analysis.width(cut.nodes())
+        assert (got["width"], got["antichain_size"], got["chain_cover_size"]) == (
+            want.width, len(want.antichain_witness), len(want.chain_cover)
+        )
+        assert code == (0 if analysis.is_cutset(cut.lat, cut.nodes()).is_cutset else 3)
+
+    def test_width_matching_runs_only_without_a_certificate(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+        width = analysis.width
+        monkeypatch.setattr(analysis, "width", lambda nodes: calls.append(1) or width(nodes))
+        path = self._construct(capsys, tmp_path, 9, 2, 5, "product")
+        code, _, _ = run(capsys, "verify", str(path))
+        assert code == 0 and calls == []
+        # The search witness holds {1} and {1, 5}, each a singleton chain.
+        path.write_text(json.dumps(GOLDEN_SEARCH_JSON["witness"]))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["width"] == 4 and calls == [1]
+
+    def test_n18_construction_verifies(self, capsys, tmp_path):
+        # 9996 chains and 50,138 nodes; the matching alone ran for minutes.
+        path = self._construct(capsys, tmp_path, 18, 6, 12)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["width"] == formulas.delta(18, 6) == 9996
 
     def test_empty_cutset_exits_3_with_missed_chain(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -255,6 +345,16 @@ class TestVerify:
         path.write_text("{not json")
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"a":' * 100_000], ids=["not-utf-8", "deeply-nested"]
+    )
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "cut.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read cutset JSON: ")
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.json"))
@@ -487,6 +587,22 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "4", "--m", "1", "--l", "2"],
+        ["verify", "cut.json"],
+        ["search", "--n", "4", "--m", "1", "--l", "2"],
+        ["report", "--n-min", "3", "--n-max", "3"],
+    ],
+)
+def test_negative_lattice_cap_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-lattice-nodes", "-5"])
+    assert exc.value.code == 2
+    assert "--max-lattice-nodes: must be at least 0, got -5" in capsys.readouterr().err
 
 
 def _python_env():

@@ -19,6 +19,10 @@ change.  The counts digest holds the status, bounds, node and prune counts
 and memo peak of every search, and the report digest every cell and the
 order of the rows; both were re-recorded when the antichain cut and the
 construction upper bound of the search went in.
+
+The verify digests hold the exit code and output of ``boolcut verify``,
+recorded before verify read the width off the file's own chains; they must
+never change.
 """
 
 import hashlib
@@ -41,7 +45,7 @@ from boolcut import (
     exact_min_width,
     width,
 )
-from boolcut.cli import report_rows
+from boolcut.cli import main, report_rows
 from boolcut.search import DEFAULT_NODE_CAP
 
 # The cutsets that the certify workload of the benchmark verifies.
@@ -64,6 +68,22 @@ WIDTH_DIGESTS = {
     "product(16,4,8) half": "b9db406064794002517d7de843a5482415e458cb34a1b8ea4c9eee3beae8aa8d",
     "auto(14,3,9)": "48ecdc2231c081e5f0b475e12b9b66a5d23c8de8d9e53c87e7ddb981853516c9",
     "auto(14,3,9) half": "f6ed1ea6e9e5ce502ca38b85cf49ed967a38734abfdd71a72cac8416dd237449",
+}
+
+# `boolcut verify` on each cutset above, and on each with two nodes taken out
+# (``without_two_nodes``): all five of those fail the cutset test, and three
+# fail the chain certificate.
+VERIFY_DIGESTS = {
+    "level(16,5)": "21bee72ff582fd51b776500bf6649c0d62fd6dd18d184c769d4b69bee0067c7f",
+    "level(16,5) minus 2": "0a9576623c68646f04185ff41cbea2e92c38dd0728853742a174d62f38fe7b59",
+    "bicolor(16,5)": "a3a99bea2f13ab9e8aae0ef543fdc17755c06e10e65582e937e332e1f9515ad0",
+    "bicolor(16,5) minus 2": "2299d0ff89fafe124cb789cd94274d4c974446ca0aa0ea1b812fb982d90a3893",
+    "fourcolor(16,4)": "c7eb5b121688dbe1ce3e2b94e9b6f3ecaeb16108915e7f3848dd55fd6602782d",
+    "fourcolor(16,4) minus 2": "6d57d67511b8052843c0b117467c98937608f5d03a389dc1bd479adc82dc7325",
+    "product(16,4,8)": "4eb34cd80807432ca13a631ebbaaa9f55e7fd02fc14fc7f5381641f48f630280",
+    "product(16,4,8) minus 2": "40d027bd97c8a491e098f9c6a89f4fc69c1775a963c2b8348eb2fc25d072d0a4",
+    "auto(14,3,9)": "816015461bf56b46c053af864d78ed882c2544de2fd0f19e4d2a45b52274ff24",
+    "auto(14,3,9) minus 2": "0b8054f9013488736bb098624ea382b7c38a2f0a697a5e9839d1dd3ccd1c5241",
 }
 
 # One digest per k over bounded_chain_partition(k, c) for c = 1..k+1.
@@ -117,6 +137,38 @@ def width_digests(name):
     }
 
 
+def without_two_nodes(data):
+    """The cutset JSON without the middle node of its first and of its last chain.
+
+    A chain is split around a node taken out of it, so a chain of three or
+    more nodes leaves two pieces, one above the other.
+    """
+    chains = data["chains"]
+    removed = {tuple(ch[len(ch) // 2]) for ch in (chains[0], chains[-1])}
+    pieces = []
+    for ch in chains:
+        piece = []
+        for node in ch + [None]:
+            if node is None or tuple(node) in removed:
+                if piece:
+                    pieces.append(piece)
+                piece = []
+            else:
+                piece.append(node)
+    return {**data, "chains": pieces}
+
+
+def verify_digests(name, tmp_path, capsys):
+    data = CUTSETS[name]().to_json()
+    digests = {}
+    for key, doc in ((name, data), (f"{name} minus 2", without_two_nodes(data))):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path)])
+        digests[key] = digest([code, capsys.readouterr().out])
+    return digests
+
+
 def partition_digest(k):
     return digest([bounded_chain_partition(k, c).to_json() for c in range(1, k + 2)])
 
@@ -125,6 +177,12 @@ def partition_digest(k):
 def test_width_is_byte_identical(name):
     got = width_digests(name)
     assert got == {key: WIDTH_DIGESTS[key] for key in got}
+
+
+@pytest.mark.parametrize("name", list(CUTSETS))
+def test_verify_is_byte_identical(name, tmp_path, capsys):
+    got = verify_digests(name, tmp_path, capsys)
+    assert got == {key: VERIFY_DIGESTS[key] for key in got}
 
 
 @pytest.mark.parametrize("k", range(13))
