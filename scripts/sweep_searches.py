@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Run the conjecture sweep's searches in this process, one at a time, and
+list each search's CPU seconds, nodes expanded and memo peak, heaviest
+first, with the total CPU seconds at the end.
+
+The searches are those of `boolcut report` over the same range: h and g of
+every instance (n, m, l) with m <= l <= n - m whose lattice has at most
+`--node-cap` nodes, each with a budget of `--max-nodes` nodes and no
+effective time limit, so the counts repeat exactly from run to run.
+
+    PYTHONPATH=src python scripts/sweep_searches.py --max-nodes 50000
+"""
+
+import argparse
+import time
+
+from boolcut.lattice import TruncatedLattice
+from boolcut.search import DEFAULT_NODE_CAP, SearchBudget, exact_search
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n-min", type=int, default=3)
+    ap.add_argument("--n-max", type=int, default=12)
+    ap.add_argument("--max-nodes", type=int, default=50_000)
+    ap.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    args = ap.parse_args()
+
+    budget = SearchBudget(args.max_nodes, 3600.0)
+    rows = []
+    for n in range(args.n_min, args.n_max + 1):
+        for m in range(n // 2 + 1):
+            for l in range(m, n - m + 1):
+                if TruncatedLattice(n, m, l).node_count > args.node_cap:
+                    continue
+                for target in ("h", "g"):
+                    start = time.process_time()
+                    result = exact_search(target, n, m, l, budget, node_cap=args.node_cap)
+                    cpu = time.process_time() - start
+                    rows.append((cpu, f"{target}({n},{m},{l})", result))
+
+    print(f"{'search':<10} {'status':<22} {'cpu_s':>7} {'nodes':>7} {'memo_peak':>9}")
+    for cpu, name, r in sorted(rows, key=lambda row: -row[0]):
+        print(f"{name:<10} {r.status.value:<22} {cpu:>7.3f} {r.nodes_expanded:>7} {r.memo_peak:>9}")
+    print(f"total {len(rows)} searches, {sum(row[0] for row in rows):.3f} cpu_s")
+
+
+if __name__ == "__main__":
+    main()

@@ -140,30 +140,27 @@ def augment(start: int, adjacent: dict[int, list[int]], right_mate: dict[int, in
     mate dicts hold the matching from either side.  The search skips the
     right nodes in ``visited`` and adds to it every right node it visits.
     On success the path is flipped and True is returned.  Iterative,
-    because levels can hold thousands of nodes.
+    because levels can hold thousands of nodes.  The stack is the
+    alternating path: ``start``, then the mate of each right node the path
+    reached.  The flip walks it down from the top, matching each left node
+    to the right node it reached last and handing its old mate down.
     """
-    parent: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = [(start, iter(adjacent[start]))]
     while stack:
         x, it = stack[-1]
-        y = next(it, None)
-        if y is None:
+        for y in it:
+            if y not in visited:
+                break
+        else:
             stack.pop()
             continue
-        if y in visited:
-            continue
         visited.add(y)
-        parent[y] = x
         holder = right_mate.get(y)
         if holder is None:
-            while True:
-                x = parent[y]
-                old = left_mate.get(x)
+            for x, _ in reversed(stack):
                 right_mate[y] = x
-                left_mate[x] = y
-                if old is None:
-                    return True
-                y = old
+                y, left_mate[x] = left_mate.get(x), y
+            return True
         stack.append((holder, iter(adjacent[holder])))
     return False
 

@@ -31,6 +31,11 @@ from .search import SearchBudget, SearchStatus
 # is_cutset sweep over the 236,912 nodes of B_18(6, 12) takes about a second.
 DEFAULT_MAX_LATTICE_NODES = 250_000
 
+# The most nodes verify matches when the file's chains do not prove the
+# width: the matching took 0.7 s on the 5,342 nodes of product(16,4,8) and
+# 29 s on the 17,938 of product(17,5,10).
+MAX_MATCHED_NODES = 10_000
+
 _REPORT_HEADER = [
     "n",
     "m",
@@ -153,11 +158,16 @@ def cmd_verify(args) -> int:
         args.max_lattice_nodes,
     )
     nodes = cut.nodes()
-    cut_report = analysis.is_cutset(cut.lat, nodes)
     # The maximum antichain and the least chain cover have the width's size
     # (Dilworth; ``width`` checks its certificates), so the file's chains,
     # when they prove the width, stand in for the matching.
     w = analysis.chain_certificate(cut.chains)
+    if w is None and len(nodes) > MAX_MATCHED_NODES:
+        raise DomainError(
+            f"the chains do not prove the width, and matching the cutset's "
+            f"{len(nodes)} nodes is above the limit of {MAX_MATCHED_NODES}"
+        )
+    cut_report = analysis.is_cutset(cut.lat, nodes)
     if w is None:
         w = analysis.width(nodes).width
     out = {
@@ -173,8 +183,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    run = search.exact_min_width if args.target == "h" else search.exact_min_per_level
-    result = run(args.n, args.m, args.l, _budget_from(args), node_cap=args.max_lattice_nodes)
+    result = search.exact_search(
+        args.target, args.n, args.m, args.l, _budget_from(args), node_cap=args.max_lattice_nodes
+    )
     print(json.dumps(result.to_json()))
     return 0 if result.status is SearchStatus.EXACT else 4
 
@@ -205,14 +216,15 @@ def _exit_with_parent(sentinel) -> None:
 
 
 def _search_worker(sender, task) -> None:
-    """Search one ``(n, m, l, budget, node_cap)`` task in a forked worker.
+    """Run one ``(target, n, m, l, budget, node_cap)`` search in a forked worker.
 
-    Sends ``(report, None)``, or ``(exception, traceback text)`` when the
+    Sends ``(result, None)``, or ``(exception, traceback text)`` when the
     search raises.  A thread ends the worker once the parent has ended,
-    however it ended, so that no search outlives ``report``.
+    however it ended, so that no search outlives ``report``.  Only a
+    failed search imports a module (``traceback``): the parent has
+    imported the rest before it forked.
     """
     import signal
-    import traceback
     from multiprocessing import parent_process
 
     # The parent owns Ctrl-C and stops its workers.  The worker flushes
@@ -223,16 +235,18 @@ def _search_worker(sender, task) -> None:
     watch = threading.Thread(target=_exit_with_parent, args=(parent_process().sentinel,))
     watch.daemon = True
     watch.start()
-    n, m, l, budget, node_cap = task
+    target, n, m, l, budget, node_cap = task
     try:
-        result = search.conjecture_report(n, m, l, budget, node_cap=node_cap), None
+        result = search.exact_search(target, n, m, l, budget, node_cap=node_cap), None
     except Exception as exc:
+        import traceback
+
         result = exc, traceback.format_exc()
     sender.send(result)
 
 
 def _collect(receiver, worker, task):
-    """The report a finished worker sent, or the exception to raise in its place."""
+    """The result a finished worker sent, or the exception to raise in its place."""
     with receiver:
         try:
             value, text = receiver.recv()
@@ -240,9 +254,9 @@ def _collect(receiver, worker, task):
             value = text = None
     worker.join()
     if value is None:
-        n, m, l, *_ = task
+        target, n, m, l, *_ = task
         return InternalError(
-            f"the search worker for n={n} m={m} l={l} exited with code "
+            f"the {target} search worker for n={n} m={m} l={l} exited with code "
             f"{worker.exitcode} and sent no result"
         )
     if text is not None:
@@ -251,15 +265,16 @@ def _collect(receiver, worker, task):
 
 
 def _search_in_workers(tasks):
-    """Yield ``search.conjecture_report`` of each ``(n, m, l, budget, node_cap)``, in order.
+    """Yield ``search.exact_search`` of each ``(target, n, m, l, budget, node_cap)``, in order.
 
-    Each task runs in a fresh forked process, up to one per usable CPU at a
-    time: a long-lived worker would keep the memory of the largest search it
-    ever ran.  A free CPU takes the next task as soon as any worker ends.
-    Fork keeps what the parent has set on the modules, and only the report
-    comes back.  An exception raised in a worker is raised here, in its
-    task's turn; so is an InternalError for a worker that ended without a
-    result.  Closing the generator kills every worker still running.
+    One search per task, and each task runs in a fresh forked process, up to
+    one per usable CPU at a time: a long-lived worker would keep the memory
+    of the largest search it ever ran.  A free CPU takes the next task as
+    soon as any worker ends.  Fork keeps what the parent has set on the
+    modules, and only the search result comes back.  An exception raised in
+    a worker is raised here, in its task's turn; so is an InternalError for
+    a worker that ended without a result.  Closing the generator kills
+    every worker still running.
     """
     if not tasks:
         return
@@ -303,8 +318,8 @@ def report_rows(n_values, m_values, budget, node_cap):
     """Yield one report row per instance (n, m, l) with m <= l <= n - m.
 
     Instances whose lattice exceeds ``node_cap`` keep their formula columns
-    but get SKIPPED search cells.  The other instances are searched in
-    worker processes (``_search_in_workers``), and their rows still come in
+    but get SKIPPED search cells.  The other instances have h and g searched
+    as two tasks of ``_search_in_workers``, and their rows still come in
     instance order.  Exact cells must satisfy g <= h <= construction count,
     which holds for every instance; a row breaking it raises InternalError.
     """
@@ -312,8 +327,12 @@ def report_rows(n_values, m_values, budget, node_cap):
         (n, m, l) for n in n_values for m in m_values if m <= n - m for l in range(m, n - m + 1)
     ]
     in_cap = [TruncatedLattice(n, m, l).node_count <= node_cap for n, m, l in instances]
-    tasks = [(*inst, budget, node_cap) for inst, ok in zip(instances, in_cap) if ok]
-    with contextlib.closing(_search_in_workers(tasks)) as reports:
+    tasks = [
+        (target, *inst, budget, node_cap)
+        for inst, ok in zip(instances, in_cap) if ok
+        for target in ("h", "g")
+    ]
+    with contextlib.closing(_search_in_workers(tasks)) as results:
         for (n, m, l), searched in zip(instances, in_cap):
             conjectured = formulas.conjectured_min_width(n, m, l)
             g_formula = formulas.per_level_bound_value(n, m, l)
@@ -322,7 +341,7 @@ def report_rows(n_values, m_values, budget, node_cap):
             if not searched:
                 h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
             else:
-                rep = next(reports)
+                rep = search.compare_searches(n, m, l, next(results), next(results))
                 h, g = rep.searched_h.value, rep.searched_g.value
                 if h is not None and (
                     construction is not None and h > construction

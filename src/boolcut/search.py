@@ -71,7 +71,7 @@ deterministic, so returned values and witnesses are reproducible.
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress
@@ -222,11 +222,11 @@ def _remove_paths(trail, rows, steps, j, gain) -> None:
     push = trail.append
     paths = {j: 1}
     for row, step in zip(rows, steps):
-        nxt = defaultdict(int)
+        nxt: dict[int, int] = {}
         for x, p in paths.items():
             for w in step[x]:
                 if row[w]:
-                    nxt[w] += p
+                    nxt[w] = nxt.get(w, 0) + p
         if not nxt:
             return
         for w, p in nxt.items():
@@ -373,8 +373,14 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     The memo keys a selection by ``_ChainCounts.key``, one bit per lattice
     node.  Two selections get the same key exactly when they hold the same
     nodes, so the memo makes the same hits as one keyed by the node set.  A
-    child's key is looked up before its counts are updated, so a memo hit
-    costs no update.
+    child's key is looked up before its counts are updated and, for h,
+    before the child is pushed into the matcher, so a memo hit costs
+    neither.  Sound, with the ticks and prunes of pushing first: every key
+    in the memo is that of a selection the search entered, so one of width
+    at most ``limit`` (its push passed, or it is the pinned root).  The
+    width depends on the node set only, so the push of a memoised child
+    would pass, then count the same tick and memo prune, and its pop would
+    leave the matcher as it was.
 
     A selection is also cut when the nodes it may still add cannot hit all
     of its U unhit chains (see ``_short_of_chains``).  Sound: by the same
@@ -432,6 +438,10 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
             if not room[i] or allowed is not None and not allowed[base[i] + j]:
                 prunes["objective"] += 1
                 continue
+            if st.key | st.bit(i, j) in seen:
+                bud.tick()
+                prunes["memo"] += 1
+                continue
             if width:
                 matcher.push(levels[i][j])
                 if matcher.width > limit:
@@ -439,15 +449,12 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
                     prunes["objective"] += 1
                     continue
             bud.tick()
-            if st.key | st.bit(i, j) in seen:
-                prunes["memo"] += 1
-            else:
-                st.select(i, j)
-                room[i] -= 1
-                if dfs():
-                    return True
-                room[i] += 1
-                st.undo()
+            st.select(i, j)
+            room[i] -= 1
+            if dfs():
+                return True
+            room[i] += 1
+            st.undo()
             if width:
                 matcher.pop()
         return False
@@ -546,6 +553,20 @@ def exact_min_per_level(
     return _run(n, m, l, budget, node_cap, False)
 
 
+def exact_search(
+    target: str,
+    n: int,
+    m: int,
+    l: int,
+    budget: Optional[SearchBudget] = None,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> SearchResult:
+    """``exact_min_width`` when ``target`` is "h", ``exact_min_per_level`` when it is "g"."""
+    run = {"h": exact_min_width, "g": exact_min_per_level}[target]
+    return run(n, m, l, budget, node_cap=node_cap)
+
+
 @dataclass(frozen=True)
 class ConjectureReport:
     """Side-by-side values for one instance; draws no conclusions.
@@ -599,9 +620,16 @@ def conjecture_report(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ConjectureReport:
     """Compare conjectured, searched, and constructed values on one instance."""
-    conjectured = formulas.conjectured_min_width(n, m, l)
     searched_h = exact_min_width(n, m, l, budget, node_cap=node_cap)
     searched_g = exact_min_per_level(n, m, l, budget, node_cap=node_cap)
+    return compare_searches(n, m, l, searched_h, searched_g)
+
+
+def compare_searches(
+    n: int, m: int, l: int, searched_h: SearchResult, searched_g: SearchResult
+) -> ConjectureReport:
+    """The report of one instance, given its searched h and g."""
+    conjectured = formulas.conjectured_min_width(n, m, l)
     counts = method_counts(n, m, l)
     upper = min(counts.values()) if counts else None
     symmetric = (

@@ -77,3 +77,22 @@ def brute_force_width(masks) -> int:
             antichain[mask] = 1
             best = max(best, mask.bit_count())
     return best
+
+
+def kuhn_augment(x, adjacent, right_mate, left_mate, visited) -> bool:
+    """Kuhn's augmenting-path search from left node x, written recursively.
+
+    Tries the right nodes of ``adjacent[x]`` in order, skipping and then
+    adding to ``visited``; a right node that is free, or whose mate finds
+    another path, is matched to x.
+    """
+    for y in adjacent[x]:
+        if y in visited:
+            continue
+        visited.add(y)
+        holder = right_mate.get(y)
+        if holder is None or kuhn_augment(holder, adjacent, right_mate, left_mate, visited):
+            right_mate[y] = x
+            left_mate[x] = y
+            return True
+    return False

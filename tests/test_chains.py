@@ -17,7 +17,7 @@ from boolcut import (
 )
 from boolcut.chains import augment, greedy_match
 
-from helpers import pascal
+from helpers import kuhn_augment, pascal
 
 
 def chain_of(*element_sets, n):
@@ -147,6 +147,27 @@ class TestChainPartitionType:
     def test_serialization_shape(self):
         p = bounded_chain_partition(2, 2)
         assert p.to_json() == [[[], [1]], [[2], [1, 2]]]
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_augment_matches_the_recursive_search(n_left, n_right, data):
+    # A random graph with a random matching along its edges, a random
+    # unmatched start and random visited right nodes.
+    right = st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right)
+    adjacent = {x: data.draw(right) for x in range(n_left)}
+    start = data.draw(st.integers(0, n_left - 1))
+    right_mate, left_mate = {}, {}
+    for x in data.draw(st.permutations(range(n_left))):
+        free = [y for y in adjacent[x] if y not in right_mate]
+        if x != start and free and data.draw(st.booleans()):
+            y = data.draw(st.sampled_from(free))
+            right_mate[y], left_mate[x] = x, y
+    visited = set(data.draw(st.lists(st.integers(0, n_right - 1), max_size=n_right)))
+    want = (dict(right_mate), dict(left_mate), set(visited))
+    found = kuhn_augment(start, adjacent, *want)
+    assert augment(start, adjacent, right_mate, left_mate, visited) == found
+    assert (right_mate, left_mate, visited) == want
 
 
 class TestAugmentDeadMarks:

@@ -297,11 +297,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["width"] == 4 and calls == [1]
 
+    def test_matching_above_the_limit_exits_2_at_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "width", lambda nodes: calls.append(1))
+        monkeypatch.setattr(analysis, "is_cutset", lambda lat, nodes: calls.append(1))
+        monkeypatch.setattr(cli, "MAX_MATCHED_NODES", 7)
+        # Eight singleton chains with comparable bottoms: no certificate.
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(GOLDEN_SEARCH_JSON["witness"]))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert "8 nodes is above the limit of 7" in err
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_MATCHED_NODES", 8)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["width"] == 4
+        # A file whose chains prove the width needs no matching, whatever its size.
+        monkeypatch.setattr(cli, "MAX_MATCHED_NODES", 0)
+        code, _, _ = run(capsys, "verify", str(self._construct(capsys, tmp_path, 9, 2, 5)))
+        assert code == 0
+
     def test_n18_construction_verifies(self, capsys, tmp_path):
         # 9996 chains and 50,138 nodes; the matching alone ran for minutes.
         path = self._construct(capsys, tmp_path, 18, 6, 12)
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["width"] == formulas.delta(18, 6) == 9996
+        # The same nodes as singleton chains prove nothing, and are too many to match.
+        data = json.loads(path.read_text())
+        data["chains"] = [[node] for ch in data["chains"] for node in ch]
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "") and "50138 nodes" in err
 
     def test_empty_cutset_exits_3_with_missed_chain(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -470,20 +496,22 @@ class TestReport:
 
     @pytest.mark.parametrize("broken", ["h_above_construction", "g_above_h"])
     def test_sandwich_violation_raises(self, monkeypatch, broken):
-        real = search.conjecture_report
+        # h and g run in separate workers, so the g worker searches h itself.
+        real = search.exact_search
 
         def exact(result, value):
             return dataclasses.replace(result, value=value, lower=value, upper=value)
 
-        def violating(*args, **kwargs):
-            rep = real(*args, **kwargs)
-            h = rep.searched_h.value
-            if broken == "g_above_h":
-                return dataclasses.replace(rep, searched_g=exact(rep.searched_g, h + 1))
-            upper = rep.construction_upper_bound
-            return dataclasses.replace(rep, searched_h=exact(rep.searched_h, upper + 1))
+        def violating(target, n, m, l, budget, node_cap):
+            result = real(target, n, m, l, budget, node_cap=node_cap)
+            if broken == "g_above_h" and target == "g":
+                h = real("h", n, m, l, budget, node_cap=node_cap).value
+                return exact(result, h + 1)
+            if broken == "h_above_construction" and target == "h":
+                return exact(result, min(constructions.method_counts(n, m, l).values()) + 1)
+            return result
 
-        monkeypatch.setattr(search, "conjecture_report", violating)
+        monkeypatch.setattr(search, "exact_search", violating)
         with pytest.raises(InternalError, match="g <= h <= construction fails"):
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
@@ -498,45 +526,57 @@ class TestReport:
         with pytest.raises(InternalError, match="failed re-verification"):
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
-    def test_closing_the_rows_stops_the_workers(self, monkeypatch):
-        # Every later search is still running when the rows are closed; the
-        # class fixture checks that closing stopped them.
-        real = search.conjecture_report
+    def test_closing_the_rows_stops_the_workers(self, monkeypatch, tmp_path):
+        # With four CPUs the searches of (3, 0, 1) start beside those of
+        # (3, 0, 0) and stall; the rows are closed once both have stalled,
+        # and closing must end them.  The class fixture checks the same.
+        real = search.exact_search
+        stalled = tmp_path / "stalled"
+        stalled.touch()
 
-        def stalls_after_3_0_0(n, m, l, budget, node_cap):
+        def stalls_after_3_0_0(target, n, m, l, budget, node_cap):
             if (n, m, l) != (3, 0, 0):
+                with open(stalled, "a") as f:
+                    f.write(f"{os.getpid()}\n")
                 time.sleep(600)
-            return real(n, m, l, budget, node_cap=node_cap)
+            return real(target, n, m, l, budget, node_cap=node_cap)
 
-        monkeypatch.setattr(search, "conjecture_report", stalls_after_3_0_0)
+        monkeypatch.setattr(search, "exact_search", stalls_after_3_0_0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         rows = report_rows(range(3, 13), range(0, 33), SearchBudget(50_000, 3600.0), 64)
         assert next(rows)[:3] == ["3", "0", "0"]
+        deadline = time.monotonic() + 10
+        while len(stalled.read_text().split()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        workers = [int(pid) for pid in stalled.read_text().split()]
+        assert len(workers) == 2
         rows.close()
+        assert not any(map(_running, workers))
 
     def test_worker_that_dies_without_a_result_raises(self, monkeypatch):
         # As when a worker is killed from outside, say by the OOM killer.
-        real = search.conjecture_report
+        real = search.exact_search
 
-        def dies_on_4_1_2(n, m, l, budget, node_cap):
-            if (n, m, l) == (4, 1, 2):
+        def dies_on_g_4_1_2(target, n, m, l, budget, node_cap):
+            if (target, n, m, l) == ("g", 4, 1, 2):
                 os._exit(1)
-            return real(n, m, l, budget, node_cap=node_cap)
+            return real(target, n, m, l, budget, node_cap=node_cap)
 
-        monkeypatch.setattr(search, "conjecture_report", dies_on_4_1_2)
-        message = "n=4 m=1 l=2 exited with code 1 and sent no result"
+        monkeypatch.setattr(search, "exact_search", dies_on_g_4_1_2)
+        message = "the g search worker for n=4 m=1 l=2 exited with code 1 and sent no result"
         with pytest.raises(InternalError, match=message):
             main(["report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
     def test_worker_errors_are_raised_in_row_order(self, monkeypatch):
-        # The later instance fails first; the report still raises the error
-        # of the earlier one, with the worker's traceback as its cause.
-        def fails_on_3_1(n, m, l, budget, node_cap):
-            if l == 1:
+        # Every later search fails first; the report still raises the error
+        # of the first one, with the worker's traceback as its cause.
+        def fails_on_3_1(target, n, m, l, budget, node_cap):
+            if (target, l) == ("h", 1):
                 time.sleep(0.5)
-            raise InternalError(f"planted at l={l}")
+            raise InternalError(f"planted in {target} at l={l}")
 
-        monkeypatch.setattr(search, "conjecture_report", fails_on_3_1)
-        with pytest.raises(InternalError, match="planted at l=1") as exc:
+        monkeypatch.setattr(search, "exact_search", fails_on_3_1)
+        with pytest.raises(InternalError, match="planted in h at l=1") as exc:
             main(["report", "--n-min", "3", "--n-max", "3", "--m-min", "1", "--m-max", "1"])
         assert "in fails_on_3_1" in str(exc.value.__cause__)
 
@@ -624,15 +664,45 @@ def test_importing_the_cli_imports_no_process_pool():
     assert out.stdout == "False\n"
 
 
+_AUDITED_REPORT = """
+import os, sys
+from boolcut import SearchBudget, cli
+
+parent = os.getpid()
+
+def hook(event, args):
+    if event == "import" and os.getpid() != parent:
+        os.write(2, b"a worker imported %s\\n" % args[0].encode())
+
+rows = cli.report_rows(range(3, 5), range(0, 2), SearchBudget(100, 60.0), 64)
+next(rows)  # the parent imports multiprocessing for its first workers
+sys.addaudithook(hook)  # forked workers inherit the hook
+print(1 + len(list(rows)))
+"""
+
+
+def test_a_worker_whose_search_succeeds_imports_nothing():
+    # Each search is a forked process of its own, so an import in the worker
+    # is paid once per search; a failed search alone imports traceback.
+    out = subprocess.run(
+        [sys.executable, "-c", _AUDITED_REPORT],
+        env=_python_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert (out.stdout, out.stderr) == ("14\n", "")
+
+
 _STALLED_REPORT = """
 import os, sys, time
 from boolcut import SearchBudget, cli, search
 
-def stall(n, m, l, budget, node_cap):
+def stall(target, n, m, l, budget, node_cap):
     os.write(2, b"%d\\n" % os.getpid())  # one write, whole even when workers race
     time.sleep(600)
 
-search.conjecture_report = stall
+search.exact_search = stall
 list(cli.report_rows(range(3, 5), range(0, 3), SearchBudget(10, 1.0), 64))
 """
 
@@ -649,7 +719,8 @@ def _running(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 def test_workers_exit_when_report_is_killed():
     # A SIGKILL runs no cleanup in the parent, so each worker must notice on
-    # its own that the parent is gone.  The stalled report has 15 instances.
+    # its own that the parent is gone.  The stalled report has 15 instances,
+    # so 30 searches.
     proc = subprocess.Popen(
         [sys.executable, "-c", _STALLED_REPORT],
         env=_python_env(),
@@ -658,7 +729,7 @@ def test_workers_exit_when_report_is_killed():
     )
     workers = []
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), 15)):
+        for _ in range(min(len(os.sched_getaffinity(0)), 30)):
             workers.append(int(proc.stderr.readline()))
     finally:
         proc.kill()

@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -434,3 +438,32 @@ class TestConjectureReport:
         assert rep.searched_h.status is SearchStatus.UNKNOWN
         assert rep.equal_flags["h_matches_conjectured"] is None
         assert rep.equal_flags["all_equal"] is None
+
+
+def test_exact_search_runs_the_named_target():
+    assert search.exact_search("h", 5, 1, 4).value == 4
+    assert search.exact_search("g", 5, 1, 4).value == 3
+    with pytest.raises(KeyError):
+        search.exact_search("x", 5, 1, 4)
+
+
+def test_sweep_searches_script_lists_every_search_heaviest_first():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sweep_searches.py"), "--max-nodes", "100"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0].split() == ["search", "status", "cpu_s", "nodes", "memo_peak"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) == 158  # h and g of the 79 sweep instances
+    assert len({row[0] for row in rows}) == 158
+    cpu = [float(row[2]) for row in rows]
+    assert cpu == sorted(cpu, reverse=True)
+    assert all(int(row[3]) <= 101 for row in rows)  # the budget, plus the tick that ran past it
+    assert {row[1] for row in rows} == {"EXACT", "LOWER_AND_UPPER_BOUNDS"}
+    assert lines[-1].startswith("total 158 searches, ")
