@@ -120,7 +120,7 @@ class SearchResult:
 
     EXACT implies lower == value == upper and a witness that has been
     re-verified (it is a cutset and attains the value).  Otherwise ``upper``
-    is the least of the two extreme level sizes and the construction counts
+    is the least of the bottom level's size and the construction counts
     (``constructions.method_counts``), each the objective of a cutset.  The witness
     stores the selected nodes as singleton chains; it need not admit a
     saturated chain cover of minimum size.  ``prunes`` counts the cut
@@ -307,49 +307,34 @@ class _ChainCounts:
         return {v for b, v in enumerate(flat) if self.key >> b & 1}
 
 
-def _comparable(levels, covers, below) -> dict[int, int]:
+def _comparable(levels) -> dict[int, int]:
     """For each lattice node, a mask of the nodes comparable to it, itself included.
 
     The j-th node of level m + i has bit ``8 * (base[i] + j)``, ``base`` as
     in ``_ChainCounts``, so that an OR of masks, written out by
     ``to_bytes(len, "little")``, has one byte per node, 1 where the node is
-    comparable to one of the OR'ed nodes.  A node's down-set is itself and
-    the down-sets of its lower covers, its up-set itself and the up-sets of
-    its covers.
+    comparable to one of the OR'ed nodes.  Two nodes are comparable when one
+    is a submask of the other, that is when their AND is one of them.
     """
-    base = list(accumulate(map(len, levels), initial=0))
-    downs = [[1 << 8 * (b + j) for j in range(len(lv))] for b, lv in zip(base, levels)]
-    ups = [row[:] for row in downs]
-    for i, rows in enumerate(below, 1):
-        for j, cs in enumerate(rows):
-            for c in cs:
-                downs[i][j] |= downs[i - 1][c]
-    for i in range(len(covers) - 1, -1, -1):
-        for j, cs in enumerate(covers[i]):
-            for c in cs:
-                ups[i][j] |= ups[i + 1][c]
-    return {
-        v: d | u
-        for lv, drow, urow in zip(levels, downs, ups)
-        for v, d, u in zip(lv, drow, urow)
-    }
+    flat = [v for lv in levels for v in lv]
+    return {v: sum(1 << 8 * b for b, w in enumerate(flat) if v & w in (v, w)) for v in flat}
 
 
-def _addable(matcher, limit, comparable, size) -> Optional[bytes]:
+def _addable(matcher, limit, comparable) -> Optional[bytes]:
     """The nodes that a completion of width <= ``limit`` may still add, or None for all.
 
     While the matcher's width is below ``limit`` any node may be added.  At
     ``limit`` only the nodes comparable to a member of the maximum antichain
-    A that the matcher reads off its matching may be: one byte per node of
-    the ``size`` lattice nodes, 1 where it may be added (see ``_comparable``
-    and ``_decide``).
+    A that the matcher reads off its matching may be: one byte per lattice
+    node (``comparable`` has one entry per node), 1 where it may be added
+    (see ``_comparable`` and ``_decide``).
     """
     if matcher.width < limit:
         return None
     mask = 0
     for a in matcher.antichain():
         mask |= comparable[a]
-    return mask.to_bytes(size, "little")
+    return mask.to_bytes(len(comparable), "little")
 
 
 def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> Optional[set[int]]:
@@ -365,10 +350,12 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     ``limit``.
 
     The node {1..lowest} is pinned and candidates below ``lowest`` are
-    skipped.  Sound: relabelling [n] moves a lowest node of any cutset whose
-    lowest level is ``lowest`` onto {1..lowest} without changing its
-    objective, and branching on the least missed chain is exhaustive among
-    cutsets holding the current selection.
+    skipped.  It is the least mask with ``lowest`` bits set, so it is at
+    position 0 of its level, which ``level_masks`` lists in ascending order.
+    Sound: relabelling [n] moves a lowest node of any cutset whose lowest
+    level is ``lowest`` onto {1..lowest} without changing its objective, and
+    branching on the least missed chain is exhaustive among cutsets holding
+    the current selection.
 
     The memo keys a selection by ``_ChainCounts.key``, one bit per lattice
     node.  Two selections get the same key exactly when they hold the same
@@ -415,7 +402,7 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     if width:
         matcher.push(pinned)
     st = _ChainCounts(n, levels, covers, below)
-    st.select(lowest - m, levels[lowest - m].index(pinned))
+    st.select(lowest - m, 0)
     up, down, base = st.up, st.down, st.base
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
@@ -427,7 +414,7 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
         if not any(up[0]):
             return True
         seen.add(st.key)
-        allowed = _addable(matcher, limit, comparable, base[-1]) if width else None
+        allowed = _addable(matcher, limit, comparable) if width else None
         if _short_of_chains(up, down, room, allowed):
             prunes["chain_bound"] += 1
             return False
@@ -466,30 +453,26 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
         bud.memo_peak = max(bud.memo_peak, len(seen))
 
 
-def _witness(n: int, m: int, l: int, selection: set[int]) -> Cutset:
-    lat = TruncatedLattice(n, m, l)
-    return Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
-
-
 def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
-    node_count = TruncatedLattice(n, m, l).node_count
-    if node_count > node_cap:
+    lat = TruncatedLattice(n, m, l)
+    if lat.node_count > node_cap:
         raise DomainError(
-            f"lattice has {node_count} nodes, above the cap {node_cap}; "
+            f"lattice has {lat.node_count} nodes, above the cap {node_cap}; "
             "raise the cap to search anyway"
         )
     levels = [level_masks(n, i) for i in range(m, l + 1)]
     covers = cover_lists(levels, n)
     below = _lower_covers(levels, covers)
-    comparable = _comparable(levels, covers, below) if width else None
+    comparable = _comparable(levels) if width else None
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
     # Any single level between m and l is itself a cutset, and so is every
     # construction, with k chains holding at most k nodes on a level and
-    # having width at most k; both bound both objectives.
-    upper = min(len(levels[0]), len(levels[-1]), *method_counts(n, m, l).values())
+    # having width at most k; both bound both objectives.  Level m is the
+    # smallest, as C(n, m) <= C(n, i) for m <= i <= n - m.
+    upper = min([len(levels[0]), *method_counts(n, m, l).values()])
     target = 1
     try:
         while target <= upper:
@@ -499,7 +482,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
                 )
                 if selection is None:
                     continue
-                wit = _witness(n, m, l, selection)
+                wit = Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
                 nodes = wit.nodes()
                 # Re-measured independently of the search's own bookkeeping.
                 value = (

@@ -9,6 +9,8 @@ import csv
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from boolcut import (
     SearchBudget,
     check_identities,
@@ -171,6 +173,7 @@ def test_c7_constant_plateau():
                     assert conjectured_min_width(n, m, l) == target
 
 
+@pytest.mark.usefixtures("no_worker_outlives_the_test")
 def test_c8_conjecture_comparison_csv(tmp_path):
     # The asymptotic regime is out of reach at desk scale; instead a full
     # comparison table over every instance with at most 64 lattice nodes

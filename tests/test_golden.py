@@ -244,5 +244,6 @@ def report_digest():
     return digest(list(report_rows(range(3, 13), range(0, 33), SearchBudget(5_000, 3600.0), 64)))
 
 
+@pytest.mark.usefixtures("no_worker_outlives_the_test")
 def test_report_is_byte_identical():
     assert report_digest() == REPORT_DIGEST

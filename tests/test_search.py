@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -286,8 +287,8 @@ class TestChainBound:
         matcher = analysis.InclusionMatcher()
         for v in selected:
             matcher.push(v)
-        comparable = search._comparable(levels, covers, search._lower_covers(levels, covers))
-        allowed = search._addable(matcher, k, comparable, len(pool))
+        comparable = search._comparable(levels)
+        allowed = search._addable(matcher, k, comparable)
         if w < k:
             assert allowed is None
         else:
@@ -307,9 +308,9 @@ class TestChainBound:
         state = {}
         cut = []
 
-        def addable(matcher, limit, comparable, size):
+        def addable(matcher, limit, comparable):
             state.update(selected=list(matcher.nodes), k=limit)
-            return real_addable(matcher, limit, comparable, size)
+            return real_addable(matcher, limit, comparable)
 
         def short_of_chains(up, down, room, allowed=None):
             pruned = real_short(up, down, room, allowed)
@@ -432,6 +433,23 @@ class TestConjectureReport:
         assert rep.symmetric_g_value == 3
         assert rep.searched_g.value == 3 and rep.searched_h.value == 4
         assert rep.equal_flags["g_matches_h"] is False
+
+    def test_to_json(self):
+        rep = conjecture_report(5, 1, 4)
+        data = rep.to_json()
+        assert list(data) == [
+            "n", "m", "l", "c", "conjectured_h", "searched_h", "searched_g",
+            "construction_upper_bound", "symmetric_g_value", "equal_flags",
+        ]
+        assert data["searched_h"] == rep.searched_h.to_json()
+        assert data["searched_g"] == rep.searched_g.to_json()
+        assert [data[k] for k in ("n", "m", "l", "c")] == [5, 1, 4, 4]
+        assert data["conjectured_h"] == rep.conjectured_h
+        assert data["construction_upper_bound"] == rep.construction_upper_bound
+        assert data["symmetric_g_value"] == 3
+        assert data["equal_flags"] == rep.equal_flags
+        assert data["equal_flags"] is not rep.equal_flags
+        assert json.loads(json.dumps(data)) == data
 
     def test_flags_undecided_under_tiny_budget(self):
         rep = conjecture_report(4, 1, 2, SearchBudget(1, 60.0))
