@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the conjecture sweep's searches in this process, one at a time, and
-list each search's CPU seconds, nodes expanded and memo peak, heaviest
-first, with the total CPU seconds at the end.
+list each search's CPU seconds and nodes expanded, heaviest first, with
+the total CPU seconds at the end.
 
 The searches are those of `boolcut report` over the same range: h and g of
 every instance (n, m, l) with m <= l <= n - m whose lattice has at most
@@ -39,9 +39,9 @@ def main() -> None:
                     cpu = time.process_time() - start
                     rows.append((cpu, f"{target}({n},{m},{l})", result))
 
-    print(f"{'search':<10} {'status':<22} {'cpu_s':>7} {'nodes':>7} {'memo_peak':>9}")
+    print(f"{'search':<10} {'status':<22} {'cpu_s':>7} {'nodes':>7}")
     for cpu, name, r in sorted(rows, key=lambda row: -row[0]):
-        print(f"{name:<10} {r.status.value:<22} {cpu:>7.3f} {r.nodes_expanded:>7} {r.memo_peak:>9}")
+        print(f"{name:<10} {r.status.value:<22} {cpu:>7.3f} {r.nodes_expanded:>7}")
     print(f"total {len(rows)} searches, {sum(row[0] for row in rows):.3f} cpu_s")
 
 

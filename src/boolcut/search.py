@@ -17,10 +17,22 @@ may take, the target minus its count; it is the per-level objective.  A
 level is an antichain, so a node on a level without room also makes the
 width exceed the target; for h, a node that passes that test is pushed
 into an incremental matching (one augmentation) and cut if the width does.
-A visited-set skips selections already proven infeasible at the current
-target, which only removes work (feasible selections are never recorded).
-Each result counts its prunes by reason: ``objective``, ``chain_bound``
-and ``memo`` (a visited-set hit).
+
+A candidate that fails, because its subtree holds no cutset or because it
+is cut as above, is excluded from the subtrees of its later siblings, as
+DPLL does after a failed decision (Davis, Logemann and Loveland, 1962).
+Sound: a cutset that holds the selection meets the branching chain at a
+first candidate, so it holds none of the candidates before it, and the
+branch of that candidate was searched with exactly those excluded.  By
+induction on the order of the failures each failure is unconditional: an
+excluded node x failed beside a sub-selection S' of the current one, so no
+cutset holds S' + x, nor any superset of it.  So only infeasible subtrees
+are cut, and the search meets the same first witness as without the rule.
+No selection is entered twice: two paths to it part at some call, and the
+later one excludes the earlier one's candidate, which the selection holds.
+So no visited-set is kept, and a search's memory grows with its depth and
+not with its node count.  Each result counts its prunes by reason:
+``objective``, ``chain_bound`` and ``excluded``.
 
 Only canonical selections are searched: for each lowest occupied level i
 in m..l in turn, the node {1..i} is pinned and candidates below level i are
@@ -58,9 +70,8 @@ a node above it, and undo restores the old counts from a trail.
 product with ``up`` 0 is 0 anyway, and every live path into a node whose
 ``up`` is positive passes only nodes whose ``up`` is positive, so each
 product ``down * up`` is still the count of unhit chains through the
-node.  The memo key is an integer with one bit per lattice node, set
-exactly for the selected nodes; it is injective, so the memo makes the
-same hits as one keyed by the node set.
+node.  The selection and the excluded nodes are each an integer with one
+bit per lattice node.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -124,9 +135,7 @@ class SearchResult:
     (``constructions.method_counts``), each the objective of a cutset.  The witness
     stores the selected nodes as singleton chains; it need not admit a
     saturated chain cover of minimum size.  ``prunes`` counts the cut
-    branches by reason: ``objective``, ``chain_bound`` and ``memo``.
-    ``memo_peak`` is the most selections one decision call held in its
-    memo, the largest over the calls of the search.
+    branches by reason: ``objective``, ``chain_bound`` and ``excluded``.
     """
 
     status: SearchStatus
@@ -136,7 +145,6 @@ class SearchResult:
     witness: Optional[Cutset]
     nodes_expanded: int
     prunes: dict[str, int]
-    memo_peak: int
     elapsed: float
 
     def to_json(self) -> dict:
@@ -149,7 +157,6 @@ class SearchResult:
             "stats": {
                 "nodes_expanded": self.nodes_expanded,
                 "prunes": dict(self.prunes),
-                "memo_peak": self.memo_peak,
                 "elapsed_seconds": round(self.elapsed, 6),
             },
         }
@@ -160,14 +167,13 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    __slots__ = ("max_nodes", "deadline", "expanded", "prunes", "memo_peak")
+    __slots__ = ("max_nodes", "deadline", "expanded", "prunes")
 
     def __init__(self, budget: SearchBudget) -> None:
         self.max_nodes = budget.max_nodes_expanded
         self.deadline = time.monotonic() + budget.wall_clock_limit
         self.expanded = 0
-        self.prunes = {"objective": 0, "chain_bound": 0, "memo": 0}
-        self.memo_peak = 0
+        self.prunes = {"objective": 0, "chain_bound": 0, "excluded": 0}
 
     def tick(self) -> None:
         self.expanded += 1
@@ -357,17 +363,25 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     branching on the least missed chain is exhaustive among cutsets holding
     the current selection.
 
-    The memo keys a selection by ``_ChainCounts.key``, one bit per lattice
-    node.  Two selections get the same key exactly when they hold the same
-    nodes, so the memo makes the same hits as one keyed by the node set.  A
-    child's key is looked up before its counts are updated and, for h,
-    before the child is pushed into the matcher, so a memo hit costs
-    neither.  Sound, with the ticks and prunes of pushing first: every key
-    in the memo is that of a selection the search entered, so one of width
-    at most ``limit`` (its push passed, or it is the pinned root).  The
-    width depends on the node set only, so the push of a memoised child
-    would pass, then count the same tick and memo prune, and its pop would
-    leave the matcher as it was.
+    ``dfs`` carries ``excluded``, a mask with the bits of
+    ``_ChainCounts.key``.  Each candidate on the least missed chain joins it
+    before it is tried, so it stays excluded in the subtrees of its later
+    siblings once it is cut or its own subtree fails; an excluded candidate
+    is skipped as an ``excluded`` prune, without a tick.  (A selected node
+    is never a candidate again, so its own bit in the mask changes nothing
+    in its subtree.)  A call on selection S with excluded set E answers
+    "is there a cutset T holding S, with T - S on levels >= ``lowest``,
+    disjoint from E and with objective <= ``limit``?".  Sound: such a T
+    meets the chain at a first candidate v in the order tried; T holds none
+    of the earlier candidates, so it is disjoint from the mask that the
+    branch of v was searched with, and that branch finds a cutset.  And E
+    loses no cutset: each node x in E was cut or failed beside a
+    sub-selection S' of S, with a smaller mask, so by induction on the order
+    of the failures no cutset holds S' + x, nor S + x.  So a failed call
+    proves S infeasible outright, and the search meets the same first
+    witness as one without the rule.  A visited-set would never hit: two
+    paths to one selection part at some call, and the later one is searched
+    with the earlier one's candidate excluded, though the selection holds it.
 
     A selection is also cut when the nodes it may still add cannot hit all
     of its U unhit chains (see ``_short_of_chains``).  Sound: by the same
@@ -375,13 +389,13 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     m + i; every unhit chain needs one added node, and an added node v hits
     exactly ``down[v] * up[v]`` of them.  If the largest allowed such
     products sum to less than U, no completion exists, so the selection is
-    infeasible and goes into the memo.  The counts are kept incrementally:
-    selecting v removes exactly the unhit chains through v, and
-    ``_ChainCounts.select`` subtracts them from the counts of the live
-    nodes below and above v.  ``down`` counts live paths from the bottom
-    level even where ``up`` is 0; that leaves every product unchanged,
-    because a product with ``up`` 0 is 0 and a live path into a node with
-    positive ``up`` runs only through nodes with positive ``up``.
+    infeasible.  The counts are kept incrementally: selecting v removes
+    exactly the unhit chains through v, and ``_ChainCounts.select``
+    subtracts them from the counts of the live nodes below and above v.
+    ``down`` counts live paths from the bottom level even where ``up`` is 0;
+    that leaves every product unchanged, because a product with ``up`` 0 is
+    0 and a live path into a node with positive ``up`` runs only through
+    nodes with positive ``up``.
 
     For h, once the width of the selection S equals ``limit``, only the
     nodes that ``_addable`` allows may be added, in the bound and among the
@@ -390,11 +404,11 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     comparable to some member of A, since for a node v of T incomparable to
     all of them A + v would be an antichain of T with ``limit`` + 1 nodes.
     So every unhit chain needs an added node among the allowed ones, and
-    the bound sums only their products; a cut selection is infeasible and
-    goes into the memo like any other.  A candidate outside the allowed
-    nodes would fail the push for the same reason, so it is cut as an
-    ``objective`` prune before the push, with the same counts.  Returns the
-    selection, or None when no such selection exists.
+    the bound sums only their products; a cut selection is infeasible like
+    any other.  A candidate outside the allowed nodes would fail the push
+    for the same reason, so it is cut as an ``objective`` prune before the
+    push, with the same counts.  Returns the selection, or None when no
+    such selection exists.
     """
     m = levels[0][0].bit_count()
     pinned = (1 << lowest) - 1
@@ -406,14 +420,12 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     up, down, base = st.up, st.down, st.base
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
-    seen: set[int] = set()
     prunes = bud.prunes
 
-    def dfs() -> bool:
-        # The caller has counted this node and checked the memo for it.
+    def dfs(excluded: int) -> bool:
+        # The caller has counted this node.
         if not any(up[0]):
             return True
-        seen.add(st.key)
         allowed = _addable(matcher, limit, comparable) if width else None
         if _short_of_chains(up, down, room, allowed):
             prunes["chain_bound"] += 1
@@ -422,12 +434,13 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
         # path[i] lies on level m + i; candidates below lowest are skipped.
         for i in range(lowest - m, len(path)):
             j = path[i]
+            bit = st.bit(i, j)
+            if excluded & bit:
+                prunes["excluded"] += 1
+                continue
+            excluded |= bit
             if not room[i] or allowed is not None and not allowed[base[i] + j]:
                 prunes["objective"] += 1
-                continue
-            if st.key | st.bit(i, j) in seen:
-                bud.tick()
-                prunes["memo"] += 1
                 continue
             if width:
                 matcher.push(levels[i][j])
@@ -438,7 +451,7 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
             bud.tick()
             st.select(i, j)
             room[i] -= 1
-            if dfs():
+            if dfs(excluded):
                 return True
             room[i] += 1
             st.undo()
@@ -446,11 +459,8 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
                 matcher.pop()
         return False
 
-    try:
-        bud.tick()
-        return st.selection() if dfs() else None
-    finally:
-        bud.memo_peak = max(bud.memo_peak, len(seen))
+    bud.tick()
+    return st.selection() if dfs(0) else None
 
 
 def _run(n, m, l, budget, node_cap, width) -> SearchResult:
@@ -496,7 +506,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
                 elapsed = time.monotonic() - start
                 return SearchResult(
                     SearchStatus.EXACT, target, target, target, wit, bud.expanded,
-                    bud.prunes, bud.memo_peak, elapsed,
+                    bud.prunes, elapsed,
                 )
             target += 1
         raise InternalError(f"deepening for n={n} m={m} l={l} passed the upper bound {upper}")
@@ -504,8 +514,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
         elapsed = time.monotonic() - start
         status = SearchStatus.BOUNDS if target > 1 else SearchStatus.UNKNOWN
         return SearchResult(
-            status, None, target, upper, None, bud.expanded, bud.prunes,
-            bud.memo_peak, elapsed,
+            status, None, target, upper, None, bud.expanded, bud.prunes, elapsed
         )
 
 

@@ -30,7 +30,9 @@ from boolcut.constructions import Cutset
 # `search --n 5 --m 1 --l 4` with `--target h` and `--target g` (minus the
 # elapsed time): the CLI contract is byte-for-byte stable, node counts included.
 # The counts of h were re-recorded when the antichain cut went in (6,435 nodes
-# before, with the same value and witness).
+# before, with the same value and witness), and those of h and g when failed
+# candidates were excluded from their later siblings' subtrees (4,556 and 93
+# nodes before, with the same values and witnesses).
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -62,9 +64,8 @@ GOLDEN_SEARCH_JSON = {
         "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
     },
     "stats": {
-        "nodes_expanded": 4556,
-        "prunes": {"objective": 2516, "chain_bound": 1842, "memo": 936},
-        "memo_peak": 3487,
+        "nodes_expanded": 733,
+        "prunes": {"objective": 677, "chain_bound": 192, "excluded": 724},
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -83,9 +84,8 @@ GOLDEN_SEARCH_G_JSON = {
         ],
     },
     "stats": {
-        "nodes_expanded": 93,
-        "prunes": {"objective": 29, "chain_bound": 44, "memo": 16},
-        "memo_peak": 56,
+        "nodes_expanded": 54,
+        "prunes": {"objective": 10, "chain_bound": 23, "excluded": 50},
     },
 }
 

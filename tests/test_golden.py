@@ -16,9 +16,10 @@ fall and cut-off searches may settle.  So the search has two digests.  The
 values digest holds the value and witness of every search that was exact
 when it was recorded, before the antichain cut of h went in; it must never
 change.  The counts digest holds the status, bounds, node and prune counts
-and memo peak of every search, and the report digest every cell and the
-order of the rows; both were re-recorded when the antichain cut and the
-construction upper bound of the search went in.
+of every search, and the report digest every cell and the order of the
+rows; both were re-recorded when the antichain cut and the construction
+upper bound of the search went in, and again when a failed candidate was
+excluded from its later siblings' subtrees.
 
 The verify digests hold the exit code and output of ``boolcut verify``,
 recorded before verify read the width off the file's own chains; they must
@@ -115,11 +116,11 @@ CUT_OFF_AT_RECORDING = {
 }
 SEARCH_VALUES_DIGEST = "33e72967380cebb74f59a15292b3a61526ab059c2c49479f5cd66b75ccf2f24c"
 
-# The status, bounds and counts (nodes, prunes, memo peak) of every search.
-SEARCH_COUNTS_DIGEST = "d9f943e152ef49e3dd83b9b211a1608c3be77d5de0b0b610cbdca681629bbf3a"
+# The status, bounds and counts (nodes, prunes) of every search.
+SEARCH_COUNTS_DIGEST = "267e4fbe9f39006f9f745c9387d3ab70578c51e0236307a4e44a3c05eba942f3"
 
 # Every row of `report --n-min 3 --n-max 12`, at 5,000 nodes per search.
-REPORT_DIGEST = "747d2dd8d70c219ae9d4ce9c3ac8d5a31ed75aabcb299eb0bbba36ba2fbcbb2f"
+REPORT_DIGEST = "a0f0a1bcc830d1fc85f6ac245905faa3da6ab218b1de13e9c46a559e57f0e618"
 
 
 def digest(obj) -> str:

@@ -45,11 +45,17 @@ def completions(chains, selected, allowed):
     Branches on the first chain the set misses: a cutset containing the
     set must contain one of that chain's nodes, so every cutset that holds
     ``selected`` and whose added nodes pass ``allowed`` contains one of the
-    yielded sets.
+    yielded sets.  A set reached again is skipped: its counts, and so its
+    subtree, are those of its first visit, which yielded all of it, as long
+    as ``allowed`` only ever gets stricter.
     """
     counts = Counter(v.bit_count() for v in selected)
+    seen = set()
 
     def grow(chosen):
+        if chosen in seen:
+            return
+        seen.add(chosen)
         missed = next((ch for ch in chains if chosen.isdisjoint(ch)), None)
         if missed is None:
             yield chosen
@@ -83,8 +89,29 @@ def oracle_min_width(n, m, l):
     return oracle_min(n, m, l, brute_force_width)
 
 
+def largest_level(cut):
+    return max(Counter(v.bit_count() for v in cut).values())
+
+
 def oracle_min_per_level(n, m, l):
-    return oracle_min(n, m, l, lambda cut: max(Counter(v.bit_count() for v in cut).values()))
+    return oracle_min(n, m, l, largest_level)
+
+
+def instances(n_max):
+    """Every (n, m, l) with n <= n_max and 0 <= m <= l <= n - m."""
+    return [
+        (n, m, l) for n in range(n_max + 1) for m in range(n // 2 + 1) for l in range(m, n - m + 1)
+    ]
+
+
+def assert_no_completion(n, m, l, selected, lowest, k, objective):
+    """No cutset that holds ``selected`` and adds nodes on levels >= lowest has objective <= k."""
+    chains = list(iter_maximal_chains(n, m, l))
+    allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k
+    for cut in completions(chains, selected, allowed):
+        assert objective(cut) > k, (
+            f"cut, but {sorted(cut)} is a cutset of objective <= {k} holding {sorted(selected)}"
+        )
 
 
 class TestExactMinWidth:
@@ -93,9 +120,9 @@ class TestExactMinWidth:
         assert exact_min_width(4, 1, 2).value == 3
 
     def test_small_oracle_cross_checks(self):
-        # Canonical selection and the chain bound prune every search; the
-        # oracles branch over all cutsets.
-        for n, m, l in [(3, 1, 2), (3, 0, 1), (4, 2, 2), (4, 1, 2), (4, 1, 3), (5, 2, 3), (5, 1, 3)]:
+        # Canonical selection, the exclusions and the chain bound prune every
+        # search; the oracles branch over all cutsets.
+        for n, m, l in instances(5):
             assert exact_min_width(n, m, l).value == oracle_min_width(n, m, l)
             assert exact_min_per_level(n, m, l).value == oracle_min_per_level(n, m, l)
 
@@ -124,6 +151,29 @@ class TestExactMinWidth:
         r = exact_min_width(6, 1, 4, node_cap=100)
         assert r.status is SearchStatus.EXACT and r.value == 5
 
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
+    def test_past_the_default_node_cap(self, run):
+        # B_7(1,4) has 98 nodes; h and g were 5..7 after 200,000 nodes
+        # before failed candidates were excluded, and take about 2,000 now.
+        r = run(7, 1, 4, node_cap=100)
+        assert r.status is SearchStatus.EXACT and r.value == 6
+
+    @pytest.mark.parametrize(
+        "run,n,m,l,value",
+        [
+            (exact_min_width, 6, 1, 5, 5),
+            (exact_min_per_level, 6, 1, 5, 4),
+            (exact_min_per_level, 6, 1, 4, 5),
+            (exact_min_width, 6, 2, 4, 9),
+            (exact_min_per_level, 6, 2, 4, 9),
+        ],
+    )
+    def test_settles_at_the_default_budget(self, run, n, m, l, value):
+        # h(6,1,5) = 5 is the conjectured value; it took 146,312 nodes when
+        # it was first settled.
+        r = run(n, m, l)
+        assert r.status is SearchStatus.EXACT and r.value == value
+
     @pytest.mark.parametrize("nodes", [True, 2.5])
     def test_node_budget_must_be_an_int(self, nodes):
         with pytest.raises(DomainError):
@@ -136,8 +186,9 @@ class TestExactMinWidth:
         assert r.lower == 1 and r.upper >= 1
 
     def test_partial_budget_gives_bounds(self):
+        # The full search takes 733 nodes, so 200 cut it off at target 3.
         full = exact_min_width(5, 1, 4)
-        partial = exact_min_width(5, 1, 4, SearchBudget(2000, 60.0))
+        partial = exact_min_width(5, 1, 4, SearchBudget(200, 60.0))
         assert partial.status is SearchStatus.BOUNDS
         assert partial.lower <= full.value <= partial.upper
 
@@ -252,16 +303,6 @@ class TestChainBound:
                 f"{brute_force_width(cut)} with at most {k} nodes per level"
             )
 
-    @staticmethod
-    def no_completion_of_width(n, m, l, selected, lowest, k):
-        """No cutset that holds ``selected`` and adds nodes on levels >= lowest has width <= k."""
-        chains = list(iter_maximal_chains(n, m, l))
-        allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k
-        for cut in completions(chains, selected, allowed):
-            assert brute_force_width(cut) > k, (
-                f"pruned, but {sorted(cut)} is a cutset of width <= {k} holding {selected}"
-            )
-
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=150, deadline=None)
     def test_width_cut_has_no_completion(self, n, data):
@@ -297,7 +338,7 @@ class TestChainBound:
                 any(v & ~a == 0 or a & ~v == 0 for a in antichain) for v in pool
             ]
         if self.prunes(n, m, l, set(selected), lowest, k, allowed)[1]:
-            self.no_completion_of_width(n, m, l, selected, lowest, k)
+            assert_no_completion(n, m, l, selected, lowest, k, brute_force_width)
 
     @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4)])
     def test_width_cut_on_the_search_states(self, monkeypatch, n, m, l):
@@ -326,7 +367,58 @@ class TestChainBound:
             if only:
                 # The pinned node is a lowest one.
                 lowest = min(v.bit_count() for v in selected)
-                self.no_completion_of_width(n, m, l, selected, lowest, k)
+                assert_no_completion(n, m, l, selected, lowest, k, brute_force_width)
+
+
+class TestExclusion:
+    """The exclusion of failed candidates, on the states the search skips them in."""
+
+    @staticmethod
+    def skips(monkeypatch, run, n, m, l):
+        """Each (selection, candidate, target, lowest) where ``run`` skips an excluded node."""
+        real_decide = search._decide
+        state = {}
+        skipped = set()
+
+        class Counts(search._ChainCounts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                state["counts"] = self
+
+            def bit(self, i, j):
+                # The search asks for a candidate's bit before testing it.
+                state["candidate"] = self.levels[i][j]
+                return super().bit(i, j)
+
+        class Prunes(dict):
+            def __setitem__(self, reason, count):
+                if reason == "excluded":
+                    selection = frozenset(state["counts"].selection())
+                    skipped.add((selection, state["candidate"], state["k"], state["lowest"]))
+                super().__setitem__(reason, count)
+
+        def decide(n, levels, covers, below, comparable, limit, width, bud, lowest):
+            state.update(k=limit, lowest=lowest)
+            bud.prunes = Prunes(bud.prunes)
+            return real_decide(n, levels, covers, below, comparable, limit, width, bud, lowest)
+
+        monkeypatch.setattr(search, "_ChainCounts", Counts)
+        monkeypatch.setattr(search, "_decide", decide)
+        assert run(n, m, l).status is SearchStatus.EXACT
+        return skipped
+
+    @pytest.mark.parametrize(
+        "run,objective",
+        [(exact_min_width, brute_force_width), (exact_min_per_level, largest_level)],
+        ids=["h", "g"],
+    )
+    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4)])
+    def test_excluded_candidates_have_no_completion(self, monkeypatch, run, objective, n, m, l):
+        skipped = self.skips(monkeypatch, run, n, m, l)
+        assert skipped
+        for selected, candidate, k, lowest in skipped:
+            assert candidate not in selected
+            assert_no_completion(n, m, l, selected | {candidate}, lowest, k, objective)
 
 
 class TestChainCounts:
@@ -476,7 +568,7 @@ def test_sweep_searches_script_lists_every_search_heaviest_first():
         check=True,
     )
     lines = out.stdout.splitlines()
-    assert lines[0].split() == ["search", "status", "cpu_s", "nodes", "memo_peak"]
+    assert lines[0].split() == ["search", "status", "cpu_s", "nodes"]
     rows = [line.split() for line in lines[1:-1]]
     assert len(rows) == 158  # h and g of the 79 sweep instances
     assert len({row[0] for row in rows}) == 158
