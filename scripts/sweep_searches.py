@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the conjecture sweep's searches in this process, one at a time, and
 list each search's CPU seconds and nodes expanded, heaviest first, with
-the total CPU seconds at the end.
+the number of EXACT searches and the total CPU seconds at the end.
 
 The searches are those of `boolcut report` over the same range: h and g of
 every instance (n, m, l) with m <= l <= n - m whose lattice has at most
@@ -15,7 +15,7 @@ import argparse
 import time
 
 from boolcut.lattice import TruncatedLattice
-from boolcut.search import DEFAULT_NODE_CAP, SearchBudget, exact_search
+from boolcut.search import DEFAULT_NODE_CAP, SearchBudget, SearchStatus, exact_search
 
 
 def main() -> None:
@@ -42,7 +42,8 @@ def main() -> None:
     print(f"{'search':<10} {'status':<22} {'cpu_s':>7} {'nodes':>7}")
     for cpu, name, r in sorted(rows, key=lambda row: -row[0]):
         print(f"{name:<10} {r.status.value:<22} {cpu:>7.3f} {r.nodes_expanded:>7}")
-    print(f"total {len(rows)} searches, {sum(row[0] for row in rows):.3f} cpu_s")
+    exact = sum(r.status is SearchStatus.EXACT for _, _, r in rows)
+    print(f"total {len(rows)} searches, {exact} exact, {sum(row[0] for row in rows):.3f} cpu_s")
 
 
 if __name__ == "__main__":

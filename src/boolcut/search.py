@@ -20,19 +20,29 @@ into an incremental matching (one augmentation) and cut if the width does.
 
 A candidate that fails, because its subtree holds no cutset or because it
 is cut as above, is excluded from the subtrees of its later siblings, as
-DPLL does after a failed decision (Davis, Logemann and Loveland, 1962).
-Sound: a cutset that holds the selection meets the branching chain at a
-first candidate, so it holds none of the candidates before it, and the
-branch of that candidate was searched with exactly those excluded.  By
-induction on the order of the failures each failure is unconditional: an
-excluded node x failed beside a sub-selection S' of the current one, so no
-cutset holds S' + x, nor any superset of it.  So only infeasible subtrees
-are cut, and the search meets the same first witness as without the rule.
-No selection is entered twice: two paths to it part at some call, and the
-later one excludes the earlier one's candidate, which the selection holds.
-So no visited-set is kept, and a search's memory grows with its depth and
-not with its node count.  Each result counts its prunes by reason:
-``objective``, ``chain_bound`` and ``excluded``.
+DPLL does after a failed decision (Davis, Logemann and Loveland, 1962),
+and so is its whole orbit under the symmetries of the selection, as in
+isomorph rejection (McKay, 1998).  Sound: a cutset that holds the
+selection meets the branching chain at a first candidate, so it holds
+none of the candidates before it, and the branch of that candidate was
+searched with exactly those excluded.  By induction on the order of the
+failures each failure is unconditional: an excluded node x failed beside
+a sub-selection S' of the current one, so no cutset holds S' + x, nor any
+superset of it.  The symmetries are the permutations of [n] generated by
+the transpositions (a b) that map the selection S of the failure onto
+itself; each of them fixes S, so every product of them does.  Such a
+permutation preserves inclusion, levels and maximal chains, so it maps a
+cutset holding S + x onto a cutset holding S + x' with the same levels
+and objective, for x' the image of x: each image fails unconditionally
+too.  The orbit is added only once x has failed, since that failure is
+what it rests on; x's own subtree holds x and is searched without it.  So
+only infeasible subtrees are cut, and the search meets the same first
+witness as without the rule.  No selection is entered twice: two paths to
+it part at some call, and the later one excludes the earlier one's
+candidate, which the selection holds.  So no visited-set is kept, and a
+search's memory grows with its depth and not with its node count.  Each
+result counts its prunes by reason: ``objective``, ``chain_bound`` and
+``excluded``.
 
 Only canonical selections are searched: for each lowest occupied level i
 in m..l in turn, the node {1..i} is pinned and candidates below level i are
@@ -85,7 +95,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate, combinations, compress
 from math import perm
 from operator import mul
 from typing import Optional
@@ -343,7 +353,45 @@ def _addable(matcher, limit, comparable) -> Optional[bytes]:
     return mask.to_bytes(len(comparable), "little")
 
 
-def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> Optional[set[int]]:
+def _generators(selection, n, profile) -> list[int]:
+    """The transpositions (a b) of [n] that map ``selection`` onto itself, as masks {a, b}.
+
+    Swapping a and b leaves a node that holds both or neither as it is and
+    flips both bits of a node that holds one of them, so (a b) maps the
+    selection onto itself when every node of the second kind, flipped, is
+    selected too.  Such a transposition maps the selected nodes that hold a
+    onto those that hold b, level by level, so only the pairs whose entries
+    in ``profile`` are equal are checked node by node: ``profile[e]`` must
+    be a function of how many selected nodes on each level hold e alone.
+    """
+    pairs = (
+        1 << a | 1 << b for a, b in combinations(range(n), 2) if profile[a] == profile[b]
+    )
+    return [t for t in pairs if all(v & t in (0, t) or v ^ t in selection for v in selection)]
+
+
+def _orbit(x, generators) -> set[int]:
+    """The orbit of the node x under the group that ``generators`` generate.
+
+    Each generator is a transposition (a b), as the mask {a, b}; it maps a
+    node that holds exactly one of a and b to the node with both bits
+    flipped and any other node to itself.  It keeps every node's level, so
+    the orbit lies on the level of x.
+    """
+    orbit = {x}
+    todo = [x]
+    for y in todo:
+        for t in generators:
+            z = y ^ t
+            if y & t not in (0, t) and z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+def _decide(
+    n, levels, covers, below, comparable, bit_of, elements, limit, width, bud, lowest
+) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The objective is the width when ``width`` is true (h), else the largest
@@ -364,20 +412,31 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     the current selection.
 
     ``dfs`` carries ``excluded``, a mask with the bits of
-    ``_ChainCounts.key``.  Each candidate on the least missed chain joins it
-    before it is tried, so it stays excluded in the subtrees of its later
-    siblings once it is cut or its own subtree fails; an excluded candidate
-    is skipped as an ``excluded`` prune, without a tick.  (A selected node
-    is never a candidate again, so its own bit in the mask changes nothing
-    in its subtree.)  A call on selection S with excluded set E answers
-    "is there a cutset T holding S, with T - S on levels >= ``lowest``,
-    disjoint from E and with objective <= ``limit``?".  Sound: such a T
-    meets the chain at a first candidate v in the order tried; T holds none
-    of the earlier candidates, so it is disjoint from the mask that the
-    branch of v was searched with, and that branch finds a cutset.  And E
-    loses no cutset: each node x in E was cut or failed beside a
-    sub-selection S' of S, with a smaller mask, so by induction on the order
-    of the failures no cutset holds S' + x, nor S + x.  So a failed call
+    ``_ChainCounts.key`` (``bit_of`` maps each node to its bit).  Once a
+    candidate x on the least missed chain is cut or its own subtree fails,
+    its orbit joins the mask (see ``_orbit``), so x and its images stay
+    excluded in the subtrees of x's later siblings; an excluded candidate
+    is skipped as an ``excluded`` prune, without a tick.  The orbit is that
+    under the ``_generators`` of the call's selection S, the transpositions
+    of [n] that map S onto itself, found at the call's first failure from S
+    and its ``profile``, which is kept along the path (``elements`` lists
+    the elements of each node); the last candidate's orbit is not needed,
+    as no sibling follows it.  A
+    call on selection S with excluded set E answers "is there a cutset T
+    holding S, with T - S on levels >= ``lowest``, disjoint from E and with
+    objective <= ``limit``?".  Sound: such a T meets the chain at a first
+    candidate v in the order tried; T holds none of the earlier candidates
+    nor their images, which all fail beside S (below), so it is disjoint
+    from the mask that the branch of v was searched with, and that branch
+    finds a cutset.  And E loses no cutset: each node in E is a cut or
+    failed node x, or an image of one, beside a sub-selection S' of S, with
+    a smaller mask, so by induction on the order of the failures no cutset
+    holds S' + x.  A permutation s generated by the transpositions fixes
+    S', as each of them does, and maps a cutset T holding S' + s(x) onto
+    the cutset s^-1(T) holding S' + x, with the same levels and objective,
+    so no cutset holds S' + s(x) either, nor S + s(x).  The orbit joins the
+    mask only after x fails: the images of x are not known to fail before
+    that, and x's own subtree must not exclude them.  So a failed call
     proves S infeasible outright, and the search meets the same first
     witness as one without the rule.  A visited-set would never hit: two
     paths to one selection part at some call, and the later one is searched
@@ -421,6 +480,9 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
     prunes = bud.prunes
+    chosen = {pinned}  # the masks of the selection, kept beside st.key
+    # profile[e] sums 2 ** (16 * |v|) over the selected nodes v that hold e.
+    profile = [1 << 16 * lowest if e < lowest else 0 for e in range(n)]
 
     def dfs(excluded: int) -> bool:
         # The caller has counted this node.
@@ -431,32 +493,46 @@ def _decide(n, levels, covers, below, comparable, limit, width, bud, lowest) -> 
             prunes["chain_bound"] += 1
             return False
         path = least_missed_chain(levels, covers, up)
+        generators = None
         # path[i] lies on level m + i; candidates below lowest are skipped.
         for i in range(lowest - m, len(path)):
             j = path[i]
-            bit = st.bit(i, j)
-            if excluded & bit:
+            if excluded & st.bit(i, j):
                 prunes["excluded"] += 1
                 continue
-            excluded |= bit
-            if not room[i] or allowed is not None and not allowed[base[i] + j]:
-                prunes["objective"] += 1
-                continue
-            if width:
-                matcher.push(levels[i][j])
+            x = levels[i][j]
+            fits = room[i] and (allowed is None or allowed[base[i] + j])
+            if fits and width:
+                matcher.push(x)
                 if matcher.width > limit:
                     matcher.pop()
-                    prunes["objective"] += 1
-                    continue
-            bud.tick()
-            st.select(i, j)
-            room[i] -= 1
-            if dfs(excluded):
-                return True
-            room[i] += 1
-            st.undo()
-            if width:
-                matcher.pop()
+                    fits = False
+            if not fits:
+                prunes["objective"] += 1
+            else:
+                bud.tick()
+                st.select(i, j)
+                chosen.add(x)
+                weight = 1 << 16 * (m + i)
+                for e in elements[x]:
+                    profile[e] += weight
+                room[i] -= 1
+                if dfs(excluded):
+                    return True
+                room[i] += 1
+                chosen.remove(x)
+                for e in elements[x]:
+                    profile[e] -= weight
+                st.undo()
+                if width:
+                    matcher.pop()
+            # x failed, and so does its image under any symmetry of the selection.
+            if i + 1 == len(path):
+                break
+            if generators is None:
+                generators = _generators(chosen, n, profile)
+            for y in _orbit(x, generators):
+                excluded |= bit_of[y]
         return False
 
     bud.tick()
@@ -476,6 +552,9 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     covers = cover_lists(levels, n)
     below = _lower_covers(levels, covers)
     comparable = _comparable(levels) if width else None
+    flat = [v for lv in levels for v in lv]
+    bit_of = {v: 1 << b for b, v in enumerate(flat)}
+    elements = {v: [e for e in range(n) if v >> e & 1] for v in flat}
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
     # Any single level between m and l is itself a cutset, and so is every
@@ -488,7 +567,8 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
         while target <= upper:
             for lowest in range(m, l + 1):
                 selection = _decide(
-                    n, levels, covers, below, comparable, target, width, bud, lowest
+                    n, levels, covers, below, comparable, bit_of, elements, target, width, bud,
+                    lowest,
                 )
                 if selection is None:
                     continue

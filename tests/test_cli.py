@@ -32,7 +32,8 @@ from boolcut.constructions import Cutset
 # The counts of h were re-recorded when the antichain cut went in (6,435 nodes
 # before, with the same value and witness), and those of h and g when failed
 # candidates were excluded from their later siblings' subtrees (4,556 and 93
-# nodes before, with the same values and witnesses).
+# nodes before) and again when their whole orbits were (733 and 54 nodes
+# before), each time with the same values and witnesses.
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -64,8 +65,8 @@ GOLDEN_SEARCH_JSON = {
         "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
     },
     "stats": {
-        "nodes_expanded": 733,
-        "prunes": {"objective": 677, "chain_bound": 192, "excluded": 724},
+        "nodes_expanded": 349,
+        "prunes": {"objective": 206, "chain_bound": 65, "excluded": 554},
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -84,8 +85,8 @@ GOLDEN_SEARCH_G_JSON = {
         ],
     },
     "stats": {
-        "nodes_expanded": 54,
-        "prunes": {"objective": 10, "chain_bound": 23, "excluded": 50},
+        "nodes_expanded": 53,
+        "prunes": {"objective": 9, "chain_bound": 22, "excluded": 52},
     },
 }
 

@@ -18,8 +18,9 @@ when it was recorded, before the antichain cut of h went in; it must never
 change.  The counts digest holds the status, bounds, node and prune counts
 of every search, and the report digest every cell and the order of the
 rows; both were re-recorded when the antichain cut and the construction
-upper bound of the search went in, and again when a failed candidate was
-excluded from its later siblings' subtrees.
+upper bound of the search went in, when a failed candidate was excluded
+from its later siblings' subtrees, and when the whole orbit of a failed
+candidate under the symmetries of the selection was.
 
 The verify digests hold the exit code and output of ``boolcut verify``,
 recorded before verify read the width off the file's own chains; they must
@@ -117,10 +118,10 @@ CUT_OFF_AT_RECORDING = {
 SEARCH_VALUES_DIGEST = "33e72967380cebb74f59a15292b3a61526ab059c2c49479f5cd66b75ccf2f24c"
 
 # The status, bounds and counts (nodes, prunes) of every search.
-SEARCH_COUNTS_DIGEST = "267e4fbe9f39006f9f745c9387d3ab70578c51e0236307a4e44a3c05eba942f3"
+SEARCH_COUNTS_DIGEST = "fd7b570a08aa8e0cae0b01af81d7f54e70d3d13a7feae4d2a607a1d392659466"
 
 # Every row of `report --n-min 3 --n-max 12`, at 5,000 nodes per search.
-REPORT_DIGEST = "a0f0a1bcc830d1fc85f6ac245905faa3da6ab218b1de13e9c46a559e57f0e618"
+REPORT_DIGEST = "f69302b69f8354d74d9c460a621443e5a9f523f7aa48997cdb08915b639c4f8a"
 
 
 def digest(obj) -> str:

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -154,9 +154,13 @@ class TestExactMinWidth:
     @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
     def test_past_the_default_node_cap(self, run):
         # B_7(1,4) has 98 nodes; h and g were 5..7 after 200,000 nodes
-        # before failed candidates were excluded, and take about 2,000 now.
-        r = run(7, 1, 4, node_cap=100)
-        assert r.status is SearchStatus.EXACT and r.value == 6
+        # before failed candidates were excluded, and take about 1,000 now.
+        # B_7(2,4) has 91: h took 1,243,422 nodes and g was 13..14 after
+        # 2,000,000 before whole orbits were excluded, and they take 76,554
+        # and 229,760 now.
+        for n, m, l, value in [(7, 1, 4, 6), (7, 2, 4, 14)]:
+            r = run(n, m, l, node_cap=100)
+            assert r.status is SearchStatus.EXACT and r.value == value
 
     @pytest.mark.parametrize(
         "run,n,m,l,value",
@@ -170,7 +174,7 @@ class TestExactMinWidth:
     )
     def test_settles_at_the_default_budget(self, run, n, m, l, value):
         # h(6,1,5) = 5 is the conjectured value; it took 146,312 nodes when
-        # it was first settled.
+        # it was first settled, and 19,070 since whole orbits are excluded.
         r = run(n, m, l)
         assert r.status is SearchStatus.EXACT and r.value == value
 
@@ -186,7 +190,7 @@ class TestExactMinWidth:
         assert r.lower == 1 and r.upper >= 1
 
     def test_partial_budget_gives_bounds(self):
-        # The full search takes 733 nodes, so 200 cut it off at target 3.
+        # The full search takes 349 nodes, so 200 cut it off at target 3.
         full = exact_min_width(5, 1, 4)
         partial = exact_min_width(5, 1, 4, SearchBudget(200, 60.0))
         assert partial.status is SearchStatus.BOUNDS
@@ -196,7 +200,9 @@ class TestExactMinWidth:
     @pytest.mark.parametrize("n,m,l,upper", [(6, 1, 5, 5), (6, 2, 4, 9)])
     def test_cut_off_upper_is_the_construction_count(self, run, n, m, l, upper):
         # The trivial bound, the smaller extreme level, is 6 on (6,1,5) and 15 on (6,2,4).
-        r = run(n, m, l, SearchBudget(2000, 3600.0))
+        # 1,000 nodes cut off all four searches: the cheapest, g(6,1,5),
+        # takes 1,619.
+        r = run(n, m, l, SearchBudget(1000, 3600.0))
         assert r.status is SearchStatus.BOUNDS
         assert r.upper == min(method_counts(n, m, l).values()) == upper
 
@@ -371,14 +377,25 @@ class TestChainBound:
 
 
 class TestExclusion:
-    """The exclusion of failed candidates, on the states the search skips them in."""
+    """The exclusion of failed candidates and their orbits, on the states where the search skips."""
 
     @staticmethod
     def skips(monkeypatch, run, n, m, l):
-        """Each (selection, candidate, target, lowest) where ``run`` skips an excluded node."""
-        real_decide = search._decide
+        """Where ``run`` skips an excluded node, and where a candidate fails.
+
+        The skips are a set of (selection, candidate, target, lowest).  The
+        failures map each such tuple to the generators of the orbit that
+        the search excludes, at the selection of the call the candidate
+        failed in: every failure but that of a call's last candidate, whose
+        orbit no sibling would see.
+        """
+        real_decide, real_orbit = search._decide, search._orbit
         state = {}
-        skipped = set()
+        skipped, failed = set(), {}
+
+        def key(candidate):
+            selection = frozenset(state["counts"].selection())
+            return selection, candidate, state["k"], state["lowest"]
 
         class Counts(search._ChainCounts):
             def __init__(self, *args):
@@ -393,32 +410,97 @@ class TestExclusion:
         class Prunes(dict):
             def __setitem__(self, reason, count):
                 if reason == "excluded":
-                    selection = frozenset(state["counts"].selection())
-                    skipped.add((selection, state["candidate"], state["k"], state["lowest"]))
+                    skipped.add(key(state["candidate"]))
                 super().__setitem__(reason, count)
 
-        def decide(n, levels, covers, below, comparable, limit, width, bud, lowest):
+        def orbit(x, generators):
+            failed[key(x)] = generators
+            return real_orbit(x, generators)
+
+        def decide(*args):
+            *_, limit, width, bud, lowest = args
             state.update(k=limit, lowest=lowest)
             bud.prunes = Prunes(bud.prunes)
-            return real_decide(n, levels, covers, below, comparable, limit, width, bud, lowest)
+            return real_decide(*args)
 
         monkeypatch.setattr(search, "_ChainCounts", Counts)
+        monkeypatch.setattr(search, "_orbit", orbit)
         monkeypatch.setattr(search, "_decide", decide)
         assert run(n, m, l).status is SearchStatus.EXACT
-        return skipped
+        return skipped, failed
 
     @pytest.mark.parametrize(
         "run,objective",
         [(exact_min_width, brute_force_width), (exact_min_per_level, largest_level)],
         ids=["h", "g"],
     )
-    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4)])
+    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4), (5, 2, 3)])
     def test_excluded_candidates_have_no_completion(self, monkeypatch, run, objective, n, m, l):
-        skipped = self.skips(monkeypatch, run, n, m, l)
+        skipped, failed = self.skips(monkeypatch, run, n, m, l)
         assert skipped
         for selected, candidate, k, lowest in skipped:
             assert candidate not in selected
             assert_no_completion(n, m, l, selected | {candidate}, lowest, k, objective)
+        # The generators are the transpositions that map the selection of
+        # their call onto itself, all of them.
+        pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
+        for (selected, *_), generators in failed.items():
+            assert set(generators) == {t for t in pairs if swapped(selected, t) == selected}
+
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level], ids=["h", "g"])
+    @pytest.mark.parametrize("n,m,l", [(5, 1, 4), (5, 2, 3)])
+    def test_some_skipped_node_is_only_an_orbit_image(self, monkeypatch, run, n, m, l):
+        # So the test above also checks the exclusion of orbit images: here
+        # some skipped node never failed itself, beside the selection it is
+        # skipped at or a part of it.
+        skipped, failed = self.skips(monkeypatch, run, n, m, l)
+        assert any(
+            not any((y, k2, low2) == (x, k, lowest) and part <= selected
+                    for part, y, k2, low2 in failed)
+            for selected, x, k, lowest in skipped
+        )
+
+
+def swapped(selection, t):
+    """The image of ``selection`` under the transposition {a, b} = t."""
+    return {v ^ t if v & t not in (0, t) else v for v in selection}
+
+
+def permuted(v, perm):
+    """The mask v with element e + 1 renamed to perm[e] + 1."""
+    return sum(1 << perm[e] for e in range(len(perm)) if v >> e & 1)
+
+
+class TestSymmetry:
+    """The transpositions that fix a selection, and the orbits they generate."""
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generators_and_orbit_against_brute_force(self, n, data):
+        # The selection is closed under some drawn transpositions, so that
+        # it has symmetries beyond the trivial ones.
+        pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
+        fixing = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+        seeds = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+        selection = set(seeds)
+        while any(swapped(selection, t) != selection for t in fixing):
+            for t in fixing:
+                selection |= swapped(selection, t)
+        x = data.draw(st.integers(0, (1 << n) - 1))
+
+        profile = [sum(1 << 16 * v.bit_count() for v in selection if v >> e & 1) for e in range(n)]
+        generators = search._generators(selection, n, profile)
+        assert set(fixing) <= set(generators)
+        assert set(generators) == {t for t in pairs if swapped(selection, t) == selection}
+        stabilizer_orbit = set()
+        for perm in permutations(range(n)):
+            if {permuted(v, perm) for v in selection} == selection:
+                stabilizer_orbit.add(permuted(x, perm))
+        orbit = search._orbit(x, generators)
+        assert x in orbit
+        assert all(swapped(orbit, t) == orbit for t in generators)
+        assert {v.bit_count() for v in orbit} == {x.bit_count()}
+        assert orbit <= stabilizer_orbit
 
 
 class TestChainCounts:
@@ -576,4 +658,5 @@ def test_sweep_searches_script_lists_every_search_heaviest_first():
     assert cpu == sorted(cpu, reverse=True)
     assert all(int(row[3]) <= 101 for row in rows)  # the budget, plus the tick that ran past it
     assert {row[1] for row in rows} == {"EXACT", "LOWER_AND_UPPER_BOUNDS"}
-    assert lines[-1].startswith("total 158 searches, ")
+    exact = sum(row[1] == "EXACT" for row in rows)
+    assert lines[-1].startswith(f"total 158 searches, {exact} exact, ")
