@@ -25,12 +25,13 @@ search keeps the same counts up to date itself and reuses the greedy walk
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chains import Chain, augment, greedy_match
 from .errors import DomainError, InternalError
-from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
+from .lattice import NodeSet, TruncatedLattice, check_mask, full_mask, level_masks, mask_repr
 
 
 @dataclass(frozen=True)
@@ -239,17 +240,20 @@ def is_antichain(nodes: Iterable[NodeSet]) -> bool:
     return not any(_proper_subsets(masks))
 
 
-def chain_certificate(chains: tuple[Chain, ...]) -> Optional[int]:
+def chain_certificate(chain_masks: Sequence[Sequence[int]]) -> Optional[int]:
     """The width of the chains' union when the chains prove it, else None.
 
+    Each chain is given by the bit vectors of its nodes, bottom first.
     Weak duality: k disjoint chains cover the union, and an antichain meets
     each chain at most once, so the width is at most k; k pairwise
     incomparable bottoms are an antichain, so the width is at least k.
     """
-    distinct = {node.bits for ch in chains for node in ch}
-    if sum(map(len, chains)) != len(distinct) or not is_antichain(ch.bottom for ch in chains):
+    distinct = {v for ch in chain_masks for v in ch}
+    if sum(map(len, chain_masks)) != len(distinct) or any(
+        _proper_subsets(sorted(ch[0] for ch in chain_masks))
+    ):
         return None
-    return len(chains)
+    return len(chain_masks)
 
 
 def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
@@ -302,8 +306,10 @@ def least_missed_chain(
 def missed_chain_masks(
     levels: list[list[int]], covers: list[list[list[int]]], selected: set[int]
 ) -> Optional[tuple[list[int], list[list[int]]]]:
-    """Mask-level core of the cutset check.
+    """The cutset check over whole cover lists.
 
+    ``is_cutset`` sums the same counts without cover lists; this form is
+    the reference that the search's incremental counts are tested against.
     ``levels`` lists the masks of each lattice level in ascending order,
     bottom first, and ``covers`` is ``cover_lists(levels, n)``.  Returns
     None when every maximal chain meets ``selected``.  Otherwise returns
@@ -326,24 +332,77 @@ def missed_chain_masks(
     return [lv[j] for lv, j in zip(levels, path)], counts
 
 
-def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet]) -> CutsetReport:
+class _CoverRows:
+    """One level of ``cover_lists``, each row computed when it is looked up.
+
+    ``least_missed_chain`` looks up only the rows along its path.  A row
+    lists the positions of the covers of the j-th node of ``lv`` in
+    ``nxt``, found by bisection, ascending like ``cover_lists``.
+    """
+
+    def __init__(self, lv: list[int], nxt: list[int], n: int) -> None:
+        self.lv, self.nxt, self.free = lv, nxt, full_mask(n)
+
+    def __getitem__(self, j: int) -> list[int]:
+        v = self.lv[j]
+        row = []
+        b = self.free ^ v
+        while b:
+            low = b & -b
+            row.append(bisect_left(self.nxt, v | low))
+            b ^= low
+        return row
+
+
+def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetReport:
     """Does the node collection meet every maximal chain of the lattice?
 
-    A maximal chain runs saturated from level m to level l.  When the
-    answer is no, the report carries the lexicographically least maximal
-    chain disjoint from the input.
+    A maximal chain runs saturated from level m to level l.  ``nodes``
+    holds ``NodeSet``s over [n] or their bit vectors.  When the answer is
+    no, the report carries the lexicographically least maximal chain
+    disjoint from the input.
+
+    The counts of ``missed_chain_masks`` are kept for every level, but the
+    cover rows of none: each level's counts are summed straight off a map
+    from the masks of the level above to their counts, and the least
+    missed chain is rebuilt from the cover rows along its path alone.
     """
+    n = lat.n
     selected: set[int] = set()
     for a in nodes:
-        if a.n != lat.n:
-            raise DomainError("ground size mismatch with the lattice")
-        if not lat.m <= a.level <= lat.l:
+        if isinstance(a, NodeSet):
+            if a.n != n:
+                raise DomainError("ground size mismatch with the lattice")
+            a = a.bits
+        else:
+            check_mask(a, n)
+        if not lat.m <= a.bit_count() <= lat.l:
             raise DomainError(
-                f"node {a} at level {a.level} outside levels {lat.m}..{lat.l}"
+                f"node {mask_repr(a)} at level {a.bit_count()} outside levels {lat.m}..{lat.l}"
             )
-        selected.add(a.bits)
-    levels = [level_masks(lat.n, i) for i in lat.levels]
-    found = missed_chain_masks(levels, cover_lists(levels, lat.n), selected)
-    if found is None:
+        selected.add(a)
+    levels = [level_masks(n, i) for i in lat.levels]
+    free = full_mask(n)
+    up = [0 if v in selected else 1 for v in levels[-1]]
+    counts = [up]
+    for lv, nxt in zip(levels[-2::-1], levels[:0:-1]):
+        if not any(up):
+            return CutsetReport(True, None)
+        at = dict(zip(nxt, up))
+        up = []
+        for v in lv:
+            total = 0
+            if v not in selected:
+                b = free ^ v
+                while b:
+                    low = b & -b
+                    total += at[v | low]
+                    b ^= low
+            up.append(total)
+        counts.append(up)
+    if not any(up):
         return CutsetReport(True, None)
-    return CutsetReport(False, Chain(tuple(NodeSet(v, lat.n) for v in found[0])))
+    counts.reverse()
+    covers = [_CoverRows(lv, nxt, n) for lv, nxt in zip(levels, levels[1:])]
+    path = least_missed_chain(levels, covers, counts)
+    return CutsetReport(False, Chain(tuple(NodeSet(lv[j], n) for lv, j in zip(levels, path))))

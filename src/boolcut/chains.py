@@ -27,10 +27,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .lattice import MAX_GROUND, NodeSet, level_masks
+from .lattice import MAX_GROUND, NodeSet, check_mask, level_masks, mask_elements, mask_repr
+
+
+def check_chain_masks(masks: Sequence[int]) -> None:
+    """Raise unless the bit vectors form a nonempty saturated ascending chain."""
+    if not masks:
+        raise DomainError("chain must be nonempty")
+    for prev, nxt in zip(masks, masks[1:]):
+        if prev & ~nxt or nxt.bit_count() != prev.bit_count() + 1:
+            raise DomainError(
+                f"chain not saturated ascending at {mask_repr(prev)} -> {mask_repr(nxt)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -40,14 +51,9 @@ class Chain:
     nodes: tuple[NodeSet, ...]
 
     def __post_init__(self) -> None:
-        if not self.nodes:
-            raise DomainError("chain must be nonempty")
-        n = self.nodes[0].n
-        for prev, nxt in zip(self.nodes, self.nodes[1:]):
-            if nxt.n != n:
-                raise DomainError("chain mixes ground sizes")
-            if prev.bits & ~nxt.bits or nxt.level != prev.level + 1:
-                raise DomainError(f"chain not saturated ascending at {prev} -> {nxt}")
+        if any(node.n != self.nodes[0].n for node in self.nodes):
+            raise DomainError("chain mixes ground sizes")
+        check_chain_masks([node.bits for node in self.nodes])
 
     @property
     def size(self) -> int:
@@ -75,43 +81,70 @@ class Chain:
         return [node.to_json() for node in self.nodes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChainPartition:
     """Disjoint chains over the ground set [k], each of size at most c.
 
-    The constructor enforces disjointness and the size bound; whether the
-    chains cover all of 2^[k] is a separate question (``covers_ground``),
-    so that deliberately partial inputs can still be fed to the checkers.
+    Each chain is kept as a tuple of bit vectors; ``chains`` builds
+    ``Chain`` objects only when asked.  The constructor takes ``Chain``
+    objects and ``from_masks`` takes the bit vectors.  Either enforces
+    disjointness and the size bound; whether the chains cover all of 2^[k]
+    is a separate question (``covers_ground``), so that deliberately
+    partial inputs can still be fed to the checkers.
     """
 
-    chains: tuple[Chain, ...]
+    chain_masks: tuple[tuple[int, ...], ...]
     k: int
     c: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= MAX_GROUND:
-            raise DomainError(f"ground size {self.k} outside 0..{MAX_GROUND}")
-        if self.c < 1:
-            raise DomainError("maximum chain size c must be >= 1")
+    def __init__(self, chains: Iterable[Chain], k: int, c: int) -> None:
+        chains = tuple(chains)
+        _check_partition_bounds(k, c)
+        if any(ch.bottom.n != k for ch in chains):
+            raise DomainError("chain ground size differs from partition ground size")
+        self._fill(tuple(tuple(node.bits for node in ch) for ch in chains), k, c)
+
+    @classmethod
+    def from_masks(cls, chain_masks: Iterable[Sequence[int]], k: int, c: int) -> "ChainPartition":
+        _check_partition_bounds(k, c)
+        part = cls.__new__(cls)
+        part._fill(tuple(map(tuple, chain_masks)), k, c)
+        return part
+
+    def _fill(self, chain_masks: tuple[tuple[int, ...], ...], k: int, c: int) -> None:
         seen: set[int] = set()
-        for ch in self.chains:
-            if ch.bottom.n != self.k:
-                raise DomainError("chain ground size differs from partition ground size")
-            if ch.size > self.c:
-                raise DomainError(f"chain of size {ch.size} exceeds bound {self.c}")
-            for node in ch:
-                if node.bits in seen:
-                    raise DomainError(f"node {node} appears in two chains")
-                seen.add(node.bits)
+        for ch in chain_masks:
+            check_chain_masks(ch)
+            if len(ch) > c:
+                raise DomainError(f"chain of size {len(ch)} exceeds bound {c}")
+            for v in ch:
+                check_mask(v, k)
+                if v in seen:
+                    raise DomainError(f"node {mask_repr(v)} appears in two chains")
+                seen.add(v)
+        object.__setattr__(self, "chain_masks", chain_masks)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c", c)
+
+    @property
+    def chains(self) -> tuple[Chain, ...]:
+        return tuple(Chain(tuple(NodeSet(v, self.k) for v in ch)) for ch in self.chain_masks)
 
     def node_count(self) -> int:
-        return sum(ch.size for ch in self.chains)
+        return sum(map(len, self.chain_masks))
 
     def covers_ground(self) -> bool:
         return self.node_count() == 1 << self.k
 
     def to_json(self) -> list[list[list[int]]]:
-        return [ch.to_json() for ch in self.chains]
+        return [[mask_elements(v) for v in ch] for ch in self.chain_masks]
+
+
+def _check_partition_bounds(k: int, c: int) -> None:
+    if not 0 <= k <= MAX_GROUND:
+        raise DomainError(f"ground size {k} outside 0..{MAX_GROUND}")
+    if c < 1:
+        raise DomainError("maximum chain size c must be >= 1")
 
 
 def _symmetric_chain_masks(k: int) -> list[list[int]]:
@@ -246,22 +279,18 @@ def bounded_chain_partition(k: int, c: int) -> ChainPartition:
     matching-based growth described in the module docstring.  Chains are
     returned sorted by the numeric value of their bottom node.
     """
-    if not 0 <= k <= MAX_GROUND:
-        raise DomainError(f"ground size {k} outside 0..{MAX_GROUND}")
-    if c < 1:
-        raise DomainError("maximum chain size c must be >= 1")
+    _check_partition_bounds(k, c)
     if c > k:
         raw = _symmetric_chain_masks(k)
     else:
         raw = _bounded_chain_masks(k, c)
     raw.sort(key=lambda ch: ch[0])
-    wrapped = tuple(Chain(tuple(NodeSet(x, k) for x in ch)) for ch in raw)
-    return ChainPartition(wrapped, k=k, c=c)
+    return ChainPartition.from_masks(raw, k, c)
 
 
 def start_level_counts(p: ChainPartition) -> dict[int, int]:
     """How many chains start at each level (size of the bottom node)."""
-    counts = Counter(ch.bottom.level for ch in p.chains)
+    counts = Counter(ch[0].bit_count() for ch in p.chain_masks)
     return dict(sorted(counts.items()))
 
 
@@ -275,7 +304,7 @@ def check_index_monotonicity(p: ChainPartition) -> tuple[bool, list[tuple[int, i
     and i > j.
     """
     violations: list[tuple[int, int, int, int]] = []
-    seqs = [[node.bits for node in ch.nodes] for ch in p.chains]
+    seqs = p.chain_masks
     for ai, a in enumerate(seqs):
         for bi, b in enumerate(seqs):
             if ai == bi:

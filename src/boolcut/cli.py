@@ -133,13 +133,14 @@ def cmd_construct(args) -> int:
         "chain_count": cut.chain_count,
         "levels_used": cut.levels_used(),
     }
-    payload = json.dumps(cut.to_json())
     if args.out:
         with _open_out(args.out) as f:
-            f.write(payload + "\n")
+            cut.write_json(f)
+            f.write("\n")
         print(json.dumps(summary))
     else:
-        print(payload)
+        cut.write_json(sys.stdout)
+        print()
         print(json.dumps(summary), file=sys.stderr)
     return 0
 
@@ -157,11 +158,11 @@ def cmd_verify(args) -> int:
         cut.lat.node_count,
         args.max_lattice_nodes,
     )
-    nodes = cut.nodes()
+    nodes = cut.node_masks()
     # The maximum antichain and the least chain cover have the width's size
     # (Dilworth; ``width`` checks its certificates), so the file's chains,
     # when they prove the width, stand in for the matching.
-    w = analysis.chain_certificate(cut.chains)
+    w = analysis.chain_certificate(cut.chain_masks)
     if w is None and len(nodes) > MAX_MATCHED_NODES:
         raise DomainError(
             f"the chains do not prove the width, and matching the cutset's "
@@ -169,7 +170,7 @@ def cmd_verify(args) -> int:
         )
     cut_report = analysis.is_cutset(cut.lat, nodes)
     if w is None:
-        w = analysis.width(nodes).width
+        w = analysis.width(cut.nodes()).width
     out = {
         "is_cutset": cut_report.is_cutset,
         "width": w,

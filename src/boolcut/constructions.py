@@ -21,12 +21,22 @@ for m + 2 < l < 2m.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
-from .chains import Chain, bounded_chain_partition
+from .chains import Chain, bounded_chain_partition, check_chain_masks
 from .errors import DomainError, InternalError
 from .formulas import binomial, delta, per_level_bound_value
-from .lattice import NodeSet, TruncatedLattice, level_masks
+from .lattice import (
+    NodeSet,
+    TruncatedLattice,
+    check_mask,
+    level_masks,
+    mask_elements,
+    mask_from_json,
+    mask_repr,
+)
 
 # Each builder takes (n, m, l).  The lambdas look the builders up at call
 # time, so a wrapper installed on this module later is the one called.
@@ -43,45 +53,64 @@ _METHOD_ORDER = tuple(BUILDERS)
 class Cutset:
     """A chain family inside a truncated lattice, claimed to be a cutset.
 
-    Builders in this module always emit pairwise disjoint chains, so the
-    chain count bounds the width of the union from above.
+    Each chain is a tuple of bit vectors, bottom first, and must be
+    saturated ascending within levels m..l; ``chains`` and ``nodes`` build
+    ``Chain`` and ``NodeSet`` objects only when asked.  Builders in this
+    module always emit pairwise disjoint chains, so the chain count bounds
+    the width of the union from above.
     """
 
     lat: TruncatedLattice
-    chains: tuple[Chain, ...]
+    chain_masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for ch in self.chains:
-            for node in ch:
-                if node.n != self.lat.n:
-                    raise DomainError("chain ground size differs from lattice")
-                if not self.lat.m <= node.level <= self.lat.l:
+        lat = self.lat
+        for ch in self.chain_masks:
+            check_chain_masks(ch)
+            for v in ch:
+                check_mask(v, lat.n)
+                if not lat.m <= v.bit_count() <= lat.l:
                     raise DomainError(
-                        f"node {node} at level {node.level} outside levels "
-                        f"{self.lat.m}..{self.lat.l}"
+                        f"node {mask_repr(v)} at level {v.bit_count()} outside levels "
+                        f"{lat.m}..{lat.l}"
                     )
 
     @property
     def chain_count(self) -> int:
-        return len(self.chains)
+        return len(self.chain_masks)
+
+    @property
+    def chains(self) -> tuple[Chain, ...]:
+        n = self.lat.n
+        return tuple(Chain(tuple(NodeSet(v, n) for v in ch)) for ch in self.chain_masks)
 
     def node_masks(self) -> set[int]:
-        return {node.bits for ch in self.chains for node in ch}
+        return {v for ch in self.chain_masks for v in ch}
 
     def nodes(self) -> tuple[NodeSet, ...]:
         return tuple(NodeSet(v, self.lat.n) for v in sorted(self.node_masks()))
 
     def levels_used(self) -> list[int]:
-        return sorted({node.level for ch in self.chains for node in ch})
+        return sorted({v.bit_count() for ch in self.chain_masks for v in ch})
+
+    def _head(self) -> dict:
+        return {"format": 1, "n": self.lat.n, "m": self.lat.m, "l": self.lat.l}
+
+    def _chains_json(self) -> Iterator[list[list[int]]]:
+        return ([mask_elements(v) for v in ch] for ch in self.chain_masks)
 
     def to_json(self) -> dict:
-        return {
-            "format": 1,
-            "n": self.lat.n,
-            "m": self.lat.m,
-            "l": self.lat.l,
-            "chains": [ch.to_json() for ch in self.chains],
-        }
+        return {**self._head(), "chains": list(self._chains_json())}
+
+    def write_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_json())`` to ``out``, one chain at a time."""
+        head = json.dumps({**self._head(), "chains": []})
+        out.write(head[:-2])  # up to the "[" that opens the chains
+        sep = ""
+        for ch in self._chains_json():
+            out.write(sep + json.dumps(ch))
+            sep = ", "
+        out.write("]}")
 
     @classmethod
     def from_json(cls, data: dict) -> "Cutset":
@@ -100,10 +129,14 @@ class Cutset:
         ):
             raise DomainError("cutset JSON field 'chains' must be a list of chains")
         lat = TruncatedLattice(n, m, l)
-        chains = tuple(
-            Chain(tuple(NodeSet.from_json(node, n) for node in ch)) for ch in raw_chains
-        )
-        return cls(lat, chains)
+        chains = []
+        for raw in raw_chains:
+            # Each chain is checked as soon as it is read, so that the error
+            # is the first one in the file; the levels are checked last.
+            ch = tuple(mask_from_json(node, n) for node in raw)
+            check_chain_masks(ch)
+            chains.append(ch)
+        return cls(lat, tuple(chains))
 
 
 def cutset_level(n: int, m: int) -> Cutset:
@@ -111,7 +144,7 @@ def cutset_level(n: int, m: int) -> Cutset:
     if not 0 <= m <= n:
         raise DomainError(f"need 0 <= m <= n, got n={n} m={m}")
     lat = TruncatedLattice(n, m, m)
-    return Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in level_masks(n, m)))
+    return Cutset(lat, tuple((v,) for v in level_masks(n, m)))
 
 
 def cutset_bicolor(n: int, m: int) -> Cutset:
@@ -123,21 +156,18 @@ def cutset_bicolor(n: int, m: int) -> Cutset:
     if not 0 <= m <= n - 1:
         raise DomainError(f"need 0 <= m <= n - 1, got n={n} m={m}")
     lat = TruncatedLattice(n, m, m + 1)
-    chains = []
-    for b in level_masks(n - 1, m):
-        bot = b << 1  # subsets of [n] minus element 1
-        chains.append(Chain((NodeSet(bot, n), NodeSet(bot | 1, n))))
-    return Cutset(lat, tuple(chains))
+    # b << 1 is an m-subset of [n] minus element 1.
+    return Cutset(lat, tuple((b << 1, b << 1 | 1) for b in level_masks(n - 1, m)))
 
 
-def _fourcolor_mask_chains(n: int, m: int) -> list[list[int]]:
+def _fourcolor_mask_chains(n: int, m: int) -> list[tuple[int, ...]]:
     # Stage chains B c B+{1} c B+{1,2} over m-sets B avoiding 1 and 2,
     # then recurse on the class containing 2 but not 1, which is a copy of
     # the (n-2, m-1) instance embedded by adding 2 and shifting the rest.
-    out = [[b << 2, (b << 2) | 1, (b << 2) | 3] for b in level_masks(n - 2, m)]
+    out = [(b << 2, (b << 2) | 1, (b << 2) | 3) for b in level_masks(n - 2, m)]
     if m >= 1:
         out.extend(
-            [(x << 2) | 2 for x in ch] for ch in _fourcolor_mask_chains(n - 2, m - 1)
+            tuple((x << 2) | 2 for x in ch) for ch in _fourcolor_mask_chains(n - 2, m - 1)
         )
     return out
 
@@ -147,10 +177,7 @@ def cutset_fourcolor(n: int, m: int) -> Cutset:
     if m < 0 or n < 2 * m + 2:
         raise DomainError(f"need m >= 0 and n >= 2m + 2, got n={n} m={m}")
     lat = TruncatedLattice(n, m, m + 2)
-    chains = tuple(
-        Chain(tuple(NodeSet(v, n) for v in ch)) for ch in _fourcolor_mask_chains(n, m)
-    )
-    return Cutset(lat, chains)
+    return Cutset(lat, tuple(_fourcolor_mask_chains(n, m)))
 
 
 def cutset_product(n: int, m: int, l: int) -> Cutset:
@@ -163,19 +190,18 @@ def cutset_product(n: int, m: int, l: int) -> Cutset:
     if not 0 <= 2 * m <= l <= n - m:
         raise DomainError(f"need 0 <= 2m <= l <= n - m, got n={n} m={m} l={l}")
     lat = TruncatedLattice(n, m, l)
-    part = bounded_chain_partition(2 * m, m + 1)
-    high = sum(ch.bottom.level > m for ch in part.chains)
-    if len(part.chains) != binomial(2 * m, m) or high:
+    part = bounded_chain_partition(2 * m, m + 1).chain_masks
+    high = sum(ch[0].bit_count() > m for ch in part)
+    if len(part) != binomial(2 * m, m) or high:
         raise InternalError(
-            f"bounded partition of 2^[{2 * m}] has {len(part.chains)} chains, "
+            f"bounded partition of 2^[{2 * m}] has {len(part)} chains, "
             f"not C({2 * m},{m}) = {binomial(2 * m, m)}, and {high} bottoms above level {m}"
         )
     chains = []
-    for ch in part.chains:
-        j = ch.bottom.level
-        for s in level_masks(n - 2 * m, m - j):
+    for ch in part:
+        for s in level_masks(n - 2 * m, m - ch[0].bit_count()):
             smask = s << (2 * m)
-            chains.append(Chain(tuple(NodeSet(node.bits | smask, n) for node in ch)))
+            chains.append(tuple(v | smask for v in ch))
     return Cutset(lat, tuple(chains))
 
 

@@ -23,6 +23,46 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def check_mask(bits: int, n: int) -> None:
+    """Raise unless ``bits`` is the bit vector of a subset of [n]."""
+    if bits < 0 or bits >> n:
+        raise DomainError(f"bit vector {bits:#x} does not fit in [{n}]")
+
+
+def mask_elements(bits: int) -> list[int]:
+    """The 1-based elements of the subset with bit vector ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return out
+
+
+def mask_repr(bits: int) -> str:
+    """The subset as ``{1,3}``: its elements, ascending."""
+    return "{" + ",".join(map(str, mask_elements(bits))) + "}"
+
+
+def _mask_from_elements(elements, n: int) -> int:
+    """The bit vector of the 1-based ``elements``, each checked to lie in [n]."""
+    bits = 0
+    for e in elements:
+        if not 1 <= e <= n:
+            raise DomainError(f"element {e} outside [{n}]")
+        bits |= 1 << (e - 1)
+    return bits
+
+
+def mask_from_json(data, n: int) -> int:
+    """The bit vector of a node's JSON form: an ascending list of 1-based elements of [n]."""
+    if not isinstance(data, list) or not all(type(e) is int for e in data):
+        raise DomainError(f"node must be a list of integers, got {data!r}")
+    if any(a >= b for a, b in zip(data, data[1:])):
+        raise DomainError(f"node elements must be ascending without repeats, got {data!r}")
+    return _mask_from_elements(data, n)
+
+
 @dataclass(frozen=True, repr=False)
 class NodeSet:
     """A subset of [n] = {1, ..., n}, encoded as a bit vector.
@@ -36,8 +76,7 @@ class NodeSet:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_GROUND:
             raise DomainError(f"ground size {self.n} outside 0..{MAX_GROUND}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise DomainError(f"bit vector {self.bits:#x} does not fit in [{self.n}]")
+        check_mask(self.bits, self.n)
 
     @property
     def level(self) -> int:
@@ -46,7 +85,7 @@ class NodeSet:
 
     def elements(self) -> tuple[int, ...]:
         """The 1-based elements, ascending."""
-        return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
+        return tuple(mask_elements(self.bits))
 
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.n and bool(self.bits >> (element - 1) & 1)
@@ -58,27 +97,18 @@ class NodeSet:
 
     @classmethod
     def from_elements(cls, elements, n: int) -> "NodeSet":
-        bits = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise DomainError(f"element {e} outside [{n}]")
-            bits |= 1 << (e - 1)
-        return cls(bits, n)
+        return cls(_mask_from_elements(elements, n), n)
 
     def to_json(self) -> list[int]:
         """JSON form: ascending list of 1-based elements."""
-        return list(self.elements())
+        return mask_elements(self.bits)
 
     @classmethod
     def from_json(cls, data, n: int) -> "NodeSet":
-        if not isinstance(data, list) or not all(type(e) is int for e in data):
-            raise DomainError(f"node must be a list of integers, got {data!r}")
-        if any(a >= b for a, b in zip(data, data[1:])):
-            raise DomainError(f"node elements must be ascending without repeats, got {data!r}")
-        return cls.from_elements(data, n)
+        return cls(mask_from_json(data, n), n)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements()) + "}"
+        return mask_repr(self.bits)
 
 
 @dataclass(frozen=True)

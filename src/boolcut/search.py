@@ -102,10 +102,9 @@ from typing import Optional
 
 from . import analysis, formulas
 from .analysis import InclusionMatcher, cover_lists, least_missed_chain
-from .chains import Chain
 from .constructions import Cutset, method_counts
 from .errors import DomainError, InternalError
-from .lattice import NodeSet, TruncatedLattice, level_masks
+from .lattice import TruncatedLattice, level_masks
 
 DEFAULT_NODE_CAP = 64
 
@@ -572,7 +571,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
                 )
                 if selection is None:
                     continue
-                wit = Cutset(lat, tuple(Chain((NodeSet(v, n),)) for v in sorted(selection)))
+                wit = Cutset(lat, tuple((v,) for v in sorted(selection)))
                 nodes = wit.nodes()
                 # Re-measured independently of the search's own bookkeeping.
                 value = (

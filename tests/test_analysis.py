@@ -49,6 +49,10 @@ class TestIsCutset:
             is_cutset(lat, [node([], 4)])
         with pytest.raises(DomainError):
             is_cutset(lat, [node([1], 5)])
+        with pytest.raises(DomainError, match="at level 0 outside levels 1..2"):
+            is_cutset(lat, [0])
+        with pytest.raises(DomainError, match="does not fit in"):
+            is_cutset(lat, [1 << 4])
 
     def test_missed_chain_is_disjoint_from_input(self):
         lat = TruncatedLattice(5, 1, 3)
@@ -67,6 +71,7 @@ class TestIsCutset:
         pool = [v.bits for k in range(m, l + 1) for v in level_nodes(n, k)]
         sel = set(data.draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
         rep = is_cutset(lat, nodes_from_masks(sel, n))
+        assert is_cutset(lat, sel) == rep
         assert rep.is_cutset == naive_is_cutset(n, m, l, sel)
         if not rep.is_cutset:
             least = min(ch for ch in iter_maximal_chains(n, m, l) if sel.isdisjoint(ch))

@@ -139,10 +139,23 @@ class TestChainPartitionType:
     def test_rejects_overlap(self):
         with pytest.raises(DomainError):
             ChainPartition((chain_of([1], n=2), chain_of([1], [1, 2], n=2)), k=2, c=2)
+        with pytest.raises(DomainError, match=r"node \{1\} appears in two chains"):
+            ChainPartition.from_masks([(1,), (1, 3)], k=2, c=2)
 
     def test_rejects_oversized_chain(self):
         with pytest.raises(DomainError):
             ChainPartition((chain_of([], [1], n=1),), k=1, c=1)
+        with pytest.raises(DomainError, match="chain of size 2 exceeds bound 1"):
+            ChainPartition.from_masks([(0, 1)], k=1, c=1)
+
+    def test_masks_are_checked_like_chains(self):
+        with pytest.raises(DomainError, match=r"not saturated ascending at \{1\} -> \{2\}"):
+            ChainPartition.from_masks([(1, 2)], k=2, c=2)
+        with pytest.raises(DomainError, match="does not fit in"):
+            ChainPartition.from_masks([(4,)], k=2, c=2)
+        chains = (chain_of([], [1], n=2), chain_of([2], n=2))
+        assert ChainPartition(chains, k=2, c=2) == ChainPartition.from_masks([(0, 1), (2,)], 2, 2)
+        assert ChainPartition.from_masks([(0, 1), (2,)], 2, 2).chains == chains
 
     def test_serialization_shape(self):
         p = bounded_chain_partition(2, 2)

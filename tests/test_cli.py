@@ -12,6 +12,8 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import boolcut.chains
+import boolcut.lattice
 from boolcut import (
     InternalError,
     SearchBudget,
@@ -282,6 +284,20 @@ class TestVerify:
             want.width, len(want.antichain_witness), len(want.chain_cover)
         )
         assert code == (0 if analysis.is_cutset(cut.lat, cut.nodes()).is_cutset else 3)
+
+    def test_construct_and_verify_build_no_object_per_node(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Both commands keep a cutset as bit vectors, so their memory does
+        # not grow by an object per node of the cutset or of its lattice.
+        def refuse(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(boolcut.lattice.NodeSet, "__post_init__", refuse)
+        monkeypatch.setattr(boolcut.chains.Chain, "__post_init__", refuse)
+        path = self._construct(capsys, tmp_path, 9, 2, 5, "product")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and json.loads(out)["is_cutset"] is True
 
     def test_width_matching_runs_only_without_a_certificate(
         self, capsys, tmp_path, monkeypatch

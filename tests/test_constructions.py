@@ -220,6 +220,22 @@ class TestCutsetJson:
         again = Cutset.from_json(cut.to_json())
         assert again == cut
 
+    def test_mask_chains_are_checked(self):
+        lat = TruncatedLattice(4, 1, 2)
+        for chains, message in [
+            (((1, 3), (1 << 4,)), "does not fit in"),
+            (((1, 6),), r"not saturated ascending at \{1\} -> \{2,3\}"),
+            (((0, 1),), r"node \{\} at level 0 outside levels 1..2"),
+            (((1,), ()), "chain must be nonempty"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                Cutset(lat, chains)
+        cut = Cutset(lat, ((1, 3), (2,)))
+        assert cut.chains == (
+            Chain((NodeSet(1, 4), NodeSet(3, 4))), Chain((NodeSet(2, 4),))
+        )
+        assert cut.nodes() == (NodeSet(1, 4), NodeSet(2, 4), NodeSet(3, 4))
+
     def test_format_field_required(self):
         data = cutset_level(3, 1).to_json()
         data.pop("format")

@@ -25,6 +25,12 @@ candidate under the symmetries of the selection was.
 The verify digests hold the exit code and output of ``boolcut verify``,
 recorded before verify read the width off the file's own chains; they must
 never change.
+
+The construct digests hold the exit code, the bytes of the ``--out`` file
+and the summary of ``boolcut construct``, and the rejections the exact
+stderr of ``boolcut verify`` on malformed cutset files, both recorded while
+a cutset still held one ``NodeSet`` object per node and ``construct``
+serialized it in one ``json.dumps`` call; they must never change.
 """
 
 import hashlib
@@ -86,6 +92,90 @@ VERIFY_DIGESTS = {
     "product(16,4,8) minus 2": "40d027bd97c8a491e098f9c6a89f4fc69c1775a963c2b8348eb2fc25d072d0a4",
     "auto(14,3,9)": "816015461bf56b46c053af864d78ed882c2544de2fd0f19e4d2a45b52274ff24",
     "auto(14,3,9) minus 2": "0b8054f9013488736bb098624ea382b7c38a2f0a697a5e9839d1dd3ccd1c5241",
+}
+
+# `boolcut construct --out` on each cutset that the certify workload builds,
+# and `boolcut construct` to stdout for one small case.
+CONSTRUCT_DIGESTS = {
+    "level(16,5,5)": "3a84be78bc06a0e3608908f0e1229b6bdd0d88e58a5dd365d5adca4f50b57ee8",
+    "bicolor(16,5,6)": "0e6f815b2984b59b19389e31940c63f4ed4d5ed0c68689a935a579eff48e71e6",
+    "fourcolor(16,4,6)": "7a7f2fd1f1e41caa298690b895d65becb8da3241ae0a9d41cc43570b2c342aad",
+    "product(16,4,8)": "a5c0785fb55233f89ff1a8f900252fedc4ca0c7fc3d5e9a25db71b3a118fb9b4",
+    "auto(14,3,9)": "961a6abd884d3686bd25636593d26d8b062744e72a71bef436062535e703e761",
+    "product(18,6,12)": "67c4ac7d8a2cada16da10d527e58aa340b7e7d84e962d36c4b053ea9e9a6952d",
+    "auto(6,1,3) stdout": "f841a0869644f19433f8fcdbd1676aea7bb32dcde59717f8ce9748f0382ab2e5",
+}
+
+# `boolcut verify` on cutset files that break the rules of the README's
+# "Cutset JSON": each overrides fields of {"format": 1, "n": 4, "m": 1, "l": 3}
+# and exits 2 with this stderr.  The last three hold two faults each, and
+# the error names the one that the file gives first, except that a node
+# outside m..l is named only when every chain is well formed.
+REJECTIONS = {
+    "n not an integer": (
+        {"n": 4.0, "chains": [[[1]]]},
+        "error: cutset JSON n, m, l must be integers, got 4.0, 1, 3\n",
+    ),
+    "m a boolean": (
+        {"m": True, "chains": [[[1]]]},
+        "error: cutset JSON n, m, l must be integers, got 4, True, 3\n",
+    ),
+    "l a string": (
+        {"l": "3", "chains": [[[1]]]},
+        "error: cutset JSON n, m, l must be integers, got 4, 1, '3'\n",
+    ),
+    "node not a list": (
+        {"chains": [[[1], 12]]}, "error: node must be a list of integers, got 12\n"
+    ),
+    "element not an integer": (
+        {"chains": [[[1], [1, 2.0]]]},
+        "error: node must be a list of integers, got [1, 2.0]\n",
+    ),
+    "element a boolean": (
+        {"chains": [[[True]]]}, "error: node must be a list of integers, got [True]\n"
+    ),
+    "node not ascending": (
+        {"chains": [[[1], [2, 1]]]},
+        "error: node elements must be ascending without repeats, got [2, 1]\n",
+    ),
+    "node with a repeat": (
+        {"chains": [[[1], [1, 1]]]},
+        "error: node elements must be ascending without repeats, got [1, 1]\n",
+    ),
+    "element outside [n]": ({"chains": [[[5]]]}, "error: element 5 outside [4]\n"),
+    "element zero": ({"chains": [[[0, 1]]]}, "error: element 0 outside [4]\n"),
+    "empty chain": ({"chains": [[[1]], []]}, "error: chain must be nonempty\n"),
+    "chain not saturated": (
+        {"chains": [[[1], [1, 2, 3]]]},
+        "error: chain not saturated ascending at {1} -> {1,2,3}\n",
+    ),
+    "chain not ascending": (
+        {"chains": [[[1, 2], [1]]]},
+        "error: chain not saturated ascending at {1,2} -> {1}\n",
+    ),
+    "chain skips an element": (
+        {"chains": [[[1], [2, 3]]]},
+        "error: chain not saturated ascending at {1} -> {2,3}\n",
+    ),
+    "node above l": (
+        {"chains": [[[1, 2, 3, 4]]]},
+        "error: node {1,2,3,4} at level 4 outside levels 1..3\n",
+    ),
+    "node below m": (
+        {"chains": [[[], [1]]]}, "error: node {} at level 0 outside levels 1..3\n"
+    ),
+    "level fault, then a parse fault": (
+        {"chains": [[[1, 2, 3, 4]], [[1], [2, 1]]]},
+        "error: node elements must be ascending without repeats, got [2, 1]\n",
+    ),
+    "level fault, then a saturation fault": (
+        {"chains": [[[1, 2, 3, 4]], [[1], [1, 2, 3]]]},
+        "error: chain not saturated ascending at {1} -> {1,2,3}\n",
+    ),
+    "saturation fault, then a parse fault": (
+        {"chains": [[[1], [1, 2, 3]], [[2, 2]]]},
+        "error: chain not saturated ascending at {1} -> {1,2,3}\n",
+    ),
 }
 
 # One digest per k over bounded_chain_partition(k, c) for c = 1..k+1.
@@ -171,6 +261,22 @@ def verify_digests(name, tmp_path, capsys):
     return digests
 
 
+def construct_digest(name, tmp_path, capsys):
+    """The digest of ``construct`` on the case ``name`` of ``CONSTRUCT_DIGESTS``."""
+    spec, _, to_stdout = name.partition(" ")
+    method, _, params = spec.rstrip(")").partition("(")
+    n, m, l = params.split(",")
+    argv = ["construct", "--n", n, "--m", m, "--l", l, "--method", method]
+    if to_stdout:
+        code = main(argv)
+        out = capsys.readouterr()
+        return digest([code, hashlib.sha256(out.out.encode()).hexdigest(), out.err])
+    path = tmp_path / "cut.json"
+    code = main([*argv, "--out", str(path)])
+    out = capsys.readouterr()
+    return digest([code, hashlib.sha256(path.read_bytes()).hexdigest(), out.out, out.err])
+
+
 def partition_digest(k):
     return digest([bounded_chain_partition(k, c).to_json() for c in range(1, k + 2)])
 
@@ -185,6 +291,21 @@ def test_width_is_byte_identical(name):
 def test_verify_is_byte_identical(name, tmp_path, capsys):
     got = verify_digests(name, tmp_path, capsys)
     assert got == {key: VERIFY_DIGESTS[key] for key in got}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCT_DIGESTS))
+def test_construct_is_byte_identical(name, tmp_path, capsys):
+    assert construct_digest(name, tmp_path, capsys) == CONSTRUCT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(REJECTIONS))
+def test_malformed_cutset_is_rejected_with_the_same_message(name, tmp_path, capsys):
+    overrides, stderr = REJECTIONS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": 1, "n": 4, "m": 1, "l": 3, **overrides}))
+    code = main(["verify", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", stderr)
 
 
 @pytest.mark.parametrize("k", range(13))
