@@ -303,35 +303,6 @@ def least_missed_chain(
     return path
 
 
-def missed_chain_masks(
-    levels: list[list[int]], covers: list[list[list[int]]], selected: set[int]
-) -> Optional[tuple[list[int], list[list[int]]]]:
-    """The cutset check over whole cover lists.
-
-    ``is_cutset`` sums the same counts without cover lists; this form is
-    the reference that the search's incremental counts are tested against.
-    ``levels`` lists the masks of each lattice level in ascending order,
-    bottom first, and ``covers`` is ``cover_lists(levels, n)``.  Returns
-    None when every maximal chain meets ``selected``.  Otherwise returns
-    the lexicographically least untouched maximal chain, bottom to top,
-    and the counts ``up``: ``up[i][j]`` is the number of untouched chains
-    from the j-th node of level i to the top level (0 on selected nodes).
-    """
-    up = [0 if v in selected else 1 for v in levels[-1]]
-    counts = [up]
-    for lv, cov in zip(levels[-2::-1], covers[::-1]):
-        if not any(up):
-            return None
-        at = up.__getitem__
-        up = [0 if v in selected else sum(map(at, cs)) for v, cs in zip(lv, cov)]
-        counts.append(up)
-    if not any(up):
-        return None
-    counts.reverse()
-    path = least_missed_chain(levels, covers, counts)
-    return [lv[j] for lv, j in zip(levels, path)], counts
-
-
 class _CoverRows:
     """One level of ``cover_lists``, each row computed when it is looked up.
 
@@ -362,10 +333,11 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
     no, the report carries the lexicographically least maximal chain
     disjoint from the input.
 
-    The counts of ``missed_chain_masks`` are kept for every level, but the
-    cover rows of none: each level's counts are summed straight off a map
-    from the masks of the level above to their counts, and the least
-    missed chain is rebuilt from the cover rows along its path alone.
+    The counts of the untouched chains from each node to the top level are
+    kept for every level, but the cover rows of none: each level's counts
+    are summed straight off a map from the masks of the level above to
+    their counts, and the least missed chain is rebuilt from the cover rows
+    along its path alone.
     """
     n = lat.n
     selected: set[int] = set()

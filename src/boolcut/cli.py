@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import os
 import sys
@@ -216,13 +215,14 @@ def _exit_with_parent(sentinel) -> None:
     os._exit(1)
 
 
-def _search_worker(sender, task) -> None:
-    """Run one ``(target, n, m, l, budget, node_cap)`` search in a forked worker.
+def _search_worker(conn) -> None:
+    """Run each ``(target, n, m, l, budget, node_cap)`` search sent on ``conn``, in a forked worker.
 
-    Sends ``(result, None)``, or ``(exception, traceback text)`` when the
-    search raises.  A thread ends the worker once the parent has ended,
-    however it ended, so that no search outlives ``report``.  Only a
-    failed search imports a module (``traceback``): the parent has
+    Answers each with ``(result, None)``, or ``(exception, traceback text)``
+    when the search raises, and waits for the next; the parent kills the
+    worker when it needs no more.  A thread ends the worker once the parent
+    has ended, however it ended, so that no search outlives ``report``.
+    Only a failed search imports a module (``traceback``): the parent has
     imported the rest before it forked.
     """
     import signal
@@ -236,25 +236,23 @@ def _search_worker(sender, task) -> None:
     watch = threading.Thread(target=_exit_with_parent, args=(parent_process().sentinel,))
     watch.daemon = True
     watch.start()
-    target, n, m, l, budget, node_cap = task
-    try:
-        result = search.exact_search(target, n, m, l, budget, node_cap=node_cap), None
-    except Exception as exc:
-        import traceback
-
-        result = exc, traceback.format_exc()
-    sender.send(result)
-
-
-def _collect(receiver, worker, task):
-    """The result a finished worker sent, or the exception to raise in its place."""
-    with receiver:
+    while True:
+        target, n, m, l, budget, node_cap = conn.recv()
         try:
-            value, text = receiver.recv()
-        except EOFError:
-            value = text = None
-    worker.join()
-    if value is None:
+            result = search.exact_search(target, n, m, l, budget, node_cap=node_cap), None
+        except Exception as exc:
+            import traceback
+
+            result = exc, traceback.format_exc()
+        conn.send(result)
+
+
+def _reply(conn, worker, task):
+    """The result a worker sent for ``task``, or the exception to raise in its place."""
+    try:
+        value, text = conn.recv()
+    except EOFError:
+        worker.join()
         target, n, m, l, *_ = task
         return InternalError(
             f"the {target} search worker for n={n} m={m} l={l} exited with code "
@@ -268,14 +266,15 @@ def _collect(receiver, worker, task):
 def _search_in_workers(tasks):
     """Yield ``search.exact_search`` of each ``(target, n, m, l, budget, node_cap)``, in order.
 
-    One search per task, and each task runs in a fresh forked process, up to
-    one per usable CPU at a time: a long-lived worker would keep the memory
-    of the largest search it ever ran.  A free CPU takes the next task as
-    soon as any worker ends.  Fork keeps what the parent has set on the
-    modules, and only the search result comes back.  An exception raised in
-    a worker is raised here, in its task's turn; so is an InternalError for
-    a worker that ended without a result.  Closing the generator kills
-    every worker still running.
+    One forked worker per usable CPU, up to one per task, runs the searches
+    one after another: a worker that finishes one gets the next task not
+    yet given out.  A search's memory grows with its depth, not its node
+    count, so a worker holds little beyond the search it runs.  Fork keeps
+    what the parent has set on the modules, and only the search result
+    comes back.  An exception raised in a worker is raised here, in its
+    task's turn; so is an InternalError for a worker that ended without a
+    result, and a fresh worker takes its place.  Closing the generator
+    kills every worker.
     """
     if not tasks:
         return
@@ -283,36 +282,50 @@ def _search_in_workers(tasks):
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    cpus = len(os.sched_getaffinity(0))
-    pending = enumerate(tasks)
-    running = {}  # receiver -> (index, worker)
+    pending = list(range(len(tasks)))[::-1]  # the next task's index last
+    workers = []
+    running = {}  # connection -> (worker, index of its task)
     done = {}  # index -> report or exception
 
-    def start(i, task) -> None:
-        receiver, sender = context.Pipe(duplex=False)
-        worker = context.Process(target=_search_worker, args=(sender, task), daemon=True)
+    def give(conn, worker) -> None:
+        if pending:
+            i = pending.pop()
+            running[conn] = worker, i
+            # A worker that has died reads as end-of-file instead.
+            with contextlib.suppress(OSError):
+                conn.send(tasks[i])
+
+    def start() -> None:
+        conn, child = context.Pipe()
+        worker = context.Process(target=_search_worker, args=(child,), daemon=True)
         worker.start()
-        # The worker now holds the only sending end, so the receiver reads
-        # end-of-file once the worker has exited, whether it sent or not.
-        sender.close()
-        running[receiver] = i, worker
+        # The worker now holds the only other end, so conn reads end-of-file
+        # once the worker has exited, whether it answered or not.
+        child.close()
+        workers.append((conn, worker))
+        give(conn, worker)
 
     try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+            start()
         for index in range(len(tasks)):
             while index not in done:
-                for i, task in itertools.islice(pending, cpus - len(running)):
-                    start(i, task)
-                for receiver in wait(list(running)):
-                    i, worker = running.pop(receiver)
-                    done[i] = _collect(receiver, worker, tasks[i])
+                for conn in wait(list(running)):
+                    worker, i = running.pop(conn)
+                    done[i] = _reply(conn, worker, tasks[i])
+                    if worker.exitcode is None:
+                        give(conn, worker)
+                    elif pending:
+                        start()
             value = done.pop(index)
             if isinstance(value, Exception):
                 raise value
             yield value
     finally:
-        for _, worker in running.values():
+        for conn, worker in workers:
             worker.kill()
             worker.join()
+            conn.close()
 
 
 def report_rows(n_values, m_values, budget, node_cap):

@@ -58,10 +58,15 @@ v; U, the sum of ``up`` over level m, counts all unhit chains, and
 ``down[v] * up[v]`` of them pass through v.  Every level is an antichain,
 so a completion with objective <= k (width or per-level count) adds at
 most ``k - count_i`` nodes on level i (its ``room``), and none below the
-pinned level.  Each unhit chain needs an added node, so when the largest
-allowed products on each level sum to less than U no completion exists
-and the selection is cut.  The least missed chain is the greedy walk over
-``up`` (``analysis.least_missed_chain``).
+pinned level.  Nor does it add an excluded node: each one failed, or is
+the image of a failure, beside a part of the selection, so no cutset that
+holds the selection holds it.  Each unhit chain needs an added node, so
+when the largest allowed products on each level sum to less than U no
+completion exists and the selection is cut.  The failures this cut causes
+rest only on earlier ones, so the induction above still holds, and the cut
+removes only infeasible subtrees: the search meets the same first witness.
+The least missed chain is the greedy walk over ``up``
+(``analysis.least_missed_chain``).
 
 For h the bound also uses the width.  Once the selection S has width k,
 the target, take a maximum antichain A of S (Dilworth, 1950), read off the
@@ -80,8 +85,9 @@ a node above it, and undo restores the old counts from a trail.
 product with ``up`` 0 is 0 anyway, and every live path into a node whose
 ``up`` is positive passes only nodes whose ``up`` is positive, so each
 product ``down * up`` is still the count of unhit chains through the
-node.  The selection and the excluded nodes are each an integer with one
-bit per lattice node.
+node.  The selection is an integer with one bit per lattice node, and the
+excluded nodes one with a bit every eighth place, so that written out as
+bytes it masks the allowed nodes of the bound.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -190,25 +196,24 @@ class _Budget:
             raise _Exhausted
 
 
-def _short_of_chains(up, down, room, allowed=None) -> bool:
+def _short_of_chains(up, down, room, allowed) -> bool:
     """True when no allowed completion can hit every unhit chain.
 
     ``up`` and ``down`` are the per-level counts of ``_ChainCounts`` and
     ``room`` the most nodes a completion may still add on each level.
-    ``allowed``, unless None, holds one byte per lattice node, at
-    ``_ChainCounts.base[i] + j`` for the j-th node of level m + i, and only
-    the nodes whose byte is 1 may be added.  Exactly ``down[v] * up[v]``
-    unhit chains pass through v, and U, the sum of ``up`` over the bottom
-    level, counts them all.
+    ``allowed`` holds one byte per lattice node, at ``_ChainCounts.base[i] +
+    j`` for the j-th node of level m + i, and only the nodes whose byte is 1
+    may be added (``_addable``): the excluded nodes never are, since no
+    cutset that holds the selection holds one of them (see ``_decide``).
+    Exactly ``down[v] * up[v]`` unhit chains pass through v, and U, the
+    sum of ``up`` over the bottom level, counts them all.
     """
     total = sum(up[0])
     reach = 0
     b = 0
     for ups, downs, r in zip(up, down, room):
         if r:
-            products = map(mul, downs, ups)
-            if allowed is not None:
-                products = compress(products, allowed[b:])
+            products = compress(map(mul, downs, ups), allowed[b:])
             reach += sum(sorted(products, reverse=True)[:r])
             if reach >= total:
                 return False
@@ -335,21 +340,22 @@ def _comparable(levels) -> dict[int, int]:
     return {v: sum(1 << 8 * b for b, w in enumerate(flat) if v & w in (v, w)) for v in flat}
 
 
-def _addable(matcher, limit, comparable) -> Optional[bytes]:
-    """The nodes that a completion of width <= ``limit`` may still add, or None for all.
+def _addable(matcher, limit, comparable, everything, excluded) -> bytes:
+    """The nodes that a completion may still add: one byte per lattice node, 1 where it may.
 
-    While the matcher's width is below ``limit`` any node may be added.  At
-    ``limit`` only the nodes comparable to a member of the maximum antichain
-    A that the matcher reads off its matching may be: one byte per lattice
-    node (``comparable`` has one entry per node), 1 where it may be added
-    (see ``_comparable`` and ``_decide``).
+    Masks have the byte layout of ``_comparable``: ``everything`` holds
+    every lattice node and ``excluded`` the nodes that no completion adds.
+    For g ``matcher`` is None, and any other node may be added; so it may
+    for h while the matcher's width is below ``limit``.  At ``limit`` only
+    the nodes comparable to a member of the maximum antichain A that the
+    matcher reads off its matching may be (see ``_decide``).
     """
-    if matcher.width < limit:
-        return None
-    mask = 0
-    for a in matcher.antichain():
-        mask |= comparable[a]
-    return mask.to_bytes(len(comparable), "little")
+    mask = everything
+    if matcher is not None and matcher.width >= limit:
+        mask = 0
+        for a in matcher.antichain():
+            mask |= comparable[a]
+    return (mask & ~excluded).to_bytes((everything.bit_length() + 7) // 8, "little")
 
 
 def _generators(selection, n, profile) -> list[int]:
@@ -410,8 +416,8 @@ def _decide(
     branching on the least missed chain is exhaustive among cutsets holding
     the current selection.
 
-    ``dfs`` carries ``excluded``, a mask with the bits of
-    ``_ChainCounts.key`` (``bit_of`` maps each node to its bit).  Once a
+    ``dfs`` carries ``excluded``, a mask in the byte layout of
+    ``_comparable`` (``bit_of`` maps each node to its bit).  Once a
     candidate x on the least missed chain is cut or its own subtree fails,
     its orbit joins the mask (see ``_orbit``), so x and its images stay
     excluded in the subtrees of x's later siblings; an excluded candidate
@@ -447,9 +453,15 @@ def _decide(
     m + i; every unhit chain needs one added node, and an added node v hits
     exactly ``down[v] * up[v]`` of them.  If the largest allowed such
     products sum to less than U, no completion exists, so the selection is
-    infeasible.  The counts are kept incrementally: selecting v removes
-    exactly the unhit chains through v, and ``_ChainCounts.select``
-    subtracts them from the counts of the live nodes below and above v.
+    infeasible.  A node of E is never allowed: the call asks for a T
+    disjoint from E, and by the argument above no cutset that holds S holds
+    a node of E anyway.  So a call failed by this cut proves S infeasible
+    like any other.  E holds only failures earlier than the cut and their
+    images, so the induction on the order of the failures is not circular,
+    and the search still meets the same first witness.  The counts are kept
+    incrementally: selecting v removes exactly the unhit chains through v,
+    and ``_ChainCounts.select`` subtracts them from the counts of the live
+    nodes below and above v.
     ``down`` counts live paths from the bottom level even where ``up`` is 0;
     that leaves every product unchanged, because a product with ``up`` 0 is
     0 and a live path into a node with positive ``up`` runs only through
@@ -463,10 +475,10 @@ def _decide(
     all of them A + v would be an antichain of T with ``limit`` + 1 nodes.
     So every unhit chain needs an added node among the allowed ones, and
     the bound sums only their products; a cut selection is infeasible like
-    any other.  A candidate outside the allowed nodes would fail the push
-    for the same reason, so it is cut as an ``objective`` prune before the
-    push, with the same counts.  Returns the selection, or None when no
-    such selection exists.
+    any other.  A candidate that is not excluded but outside the allowed
+    nodes would fail the push for the same reason, so it is cut as an
+    ``objective`` prune before the push, with the same counts.  Returns the
+    selection, or None when no such selection exists.
     """
     m = levels[0][0].bit_count()
     pinned = (1 << lowest) - 1
@@ -479,6 +491,7 @@ def _decide(
     room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
     room[lowest - m] -= 1
     prunes = bud.prunes
+    everything = sum(bit_of.values())
     chosen = {pinned}  # the masks of the selection, kept beside st.key
     # profile[e] sums 2 ** (16 * |v|) over the selected nodes v that hold e.
     profile = [1 << 16 * lowest if e < lowest else 0 for e in range(n)]
@@ -487,7 +500,7 @@ def _decide(
         # The caller has counted this node.
         if not any(up[0]):
             return True
-        allowed = _addable(matcher, limit, comparable) if width else None
+        allowed = _addable(matcher, limit, comparable, everything, excluded)
         if _short_of_chains(up, down, room, allowed):
             prunes["chain_bound"] += 1
             return False
@@ -496,11 +509,11 @@ def _decide(
         # path[i] lies on level m + i; candidates below lowest are skipped.
         for i in range(lowest - m, len(path)):
             j = path[i]
-            if excluded & st.bit(i, j):
+            x = levels[i][j]
+            if excluded & bit_of[x]:
                 prunes["excluded"] += 1
                 continue
-            x = levels[i][j]
-            fits = room[i] and (allowed is None or allowed[base[i] + j])
+            fits = room[i] and allowed[base[i] + j]
             if fits and width:
                 matcher.push(x)
                 if matcher.width > limit:
@@ -552,7 +565,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     below = _lower_covers(levels, covers)
     comparable = _comparable(levels) if width else None
     flat = [v for lv in levels for v in lv]
-    bit_of = {v: 1 << b for b, v in enumerate(flat)}
+    bit_of = {v: 1 << 8 * b for b, v in enumerate(flat)}
     elements = {v: [e for e in range(n) if v >> e & 1] for v in flat}
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()

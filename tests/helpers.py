@@ -46,6 +46,34 @@ def iter_maximal_chains(n: int, m: int, l: int):
         yield from extend([mask_of(bottom)])
 
 
+def missed_chain_masks(levels, covers, selected):
+    """The least maximal chain that misses ``selected``, with the counts ``up``; None if none does.
+
+    ``levels`` lists the masks of each lattice level in ascending order,
+    bottom first, and ``covers[i][j]`` the ascending positions on level
+    i + 1 of the covers of the j-th node of level i.  ``up[i][j]`` counts
+    the chains from that node to the top level that miss ``selected`` (0 on
+    a selected node).  The chain, bottom to top, starts at the least bottom
+    node with a positive count and steps to the least cover with one, so it
+    is the lexicographically least missed chain.  This is the reference for
+    the search's incremental counts.
+    """
+    up = [0 if v in selected else 1 for v in levels[-1]]
+    counts = [up]
+    for lv, cov in zip(levels[-2::-1], covers[::-1]):
+        up = [0 if v in selected else sum(up[c] for c in cs) for v, cs in zip(lv, cov)]
+        counts.append(up)
+    counts.reverse()
+    if not any(counts[0]):
+        return None
+    j = next(j for j, c in enumerate(counts[0]) if c)
+    path = [levels[0][j]]
+    for lv, cov, cnt in zip(levels[1:], covers, counts[1:]):
+        j = next(c for c in cov[j] if cnt[c])
+        path.append(lv[j])
+    return path, counts
+
+
 def maximal_chain_count(n: int, m: int, l: int) -> int:
     count = pascal(n, m)
     for i in range(m, l):

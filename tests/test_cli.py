@@ -34,8 +34,9 @@ from boolcut.constructions import Cutset
 # The counts of h were re-recorded when the antichain cut went in (6,435 nodes
 # before, with the same value and witness), and those of h and g when failed
 # candidates were excluded from their later siblings' subtrees (4,556 and 93
-# nodes before) and again when their whole orbits were (733 and 54 nodes
-# before), each time with the same values and witnesses.
+# nodes before), again when their whole orbits were (733 and 54 nodes
+# before), and again when the chain bound left the excluded nodes out (349
+# and 53 nodes before), each time with the same values and witnesses.
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -67,8 +68,8 @@ GOLDEN_SEARCH_JSON = {
         "chains": [[[1]], [[2]], [[3]], [[4]], [[1, 5]], [[2, 5]], [[3, 5]], [[4, 5]]],
     },
     "stats": {
-        "nodes_expanded": 349,
-        "prunes": {"objective": 206, "chain_bound": 65, "excluded": 554},
+        "nodes_expanded": 208,
+        "prunes": {"objective": 9, "chain_bound": 91, "excluded": 225},
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -87,8 +88,8 @@ GOLDEN_SEARCH_G_JSON = {
         ],
     },
     "stats": {
-        "nodes_expanded": 53,
-        "prunes": {"objective": 9, "chain_bound": 22, "excluded": 52},
+        "nodes_expanded": 34,
+        "prunes": {"objective": 5, "chain_bound": 17, "excluded": 19},
     },
 }
 
@@ -538,8 +539,8 @@ class TestReport:
 
     def test_closing_the_rows_stops_the_workers(self, monkeypatch, tmp_path):
         # With four CPUs the searches of (3, 0, 1) start beside those of
-        # (3, 0, 0) and stall.  A CPU freed by h(3, 0, 0) may take h(3, 0, 2)
-        # before g(3, 0, 0) is done, so two or three searches stall.  The
+        # (3, 0, 0) and stall.  The worker freed by h(3, 0, 0) may take
+        # h(3, 0, 2) before g(3, 0, 0) is done, so two or three searches stall.  The
         # rows are closed once two have, and closing must end every one of
         # them.  The class fixture checks the same.
         real = search.exact_search
@@ -566,6 +567,26 @@ class TestReport:
             rows.close()
         workers = [int(pid) for pid in stalled.read_text().split()]
         assert not any(map(_running, workers))
+
+    def test_workers_serve_many_searches(self, monkeypatch, tmp_path):
+        # Each worker is forked once and runs one search after another, so the
+        # 86 searches of n = 3..6 (h and g of 43 instances) run in no more
+        # processes than there are usable CPUs.
+        real = search.exact_search
+        pids = tmp_path / "pids"
+        pids.touch()
+
+        def noting_the_pid(target, n, m, l, budget, node_cap):
+            with open(pids, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(target, n, m, l, budget, node_cap=node_cap)
+
+        monkeypatch.setattr(search, "exact_search", noting_the_pid)
+        out = str(tmp_path / "r.csv")
+        assert main(["report", "--n-min", "3", "--n-max", "6", "--out", out]) == 0
+        searches = pids.read_text().split()
+        assert len(searches) == 86
+        assert len(set(searches)) <= len(os.sched_getaffinity(0))
 
     def test_worker_that_dies_without_a_result_raises(self, monkeypatch):
         # As when a worker is killed from outside, say by the OOM killer.
@@ -688,16 +709,15 @@ def hook(event, args):
     if event == "import" and os.getpid() != parent:
         os.write(2, b"a worker imported %s\\n" % args[0].encode())
 
-rows = cli.report_rows(range(3, 5), range(0, 2), SearchBudget(100, 60.0), 64)
-next(rows)  # the parent imports multiprocessing for its first workers
-sys.addaudithook(hook)  # forked workers inherit the hook
-print(1 + len(list(rows)))
+sys.addaudithook(hook)  # the workers, forked for the first row, inherit it
+print(len(list(cli.report_rows(range(3, 5), range(0, 2), SearchBudget(100, 60.0), 64))))
 """
 
 
 def test_a_worker_whose_search_succeeds_imports_nothing():
-    # Each search is a forked process of its own, so an import in the worker
-    # is paid once per search; a failed search alone imports traceback.
+    # A worker is forked once and runs many searches on the modules that the
+    # parent had imported; a failed search alone imports traceback.  The
+    # hook skips the parent, which imports multiprocessing for the workers.
     out = subprocess.run(
         [sys.executable, "-c", _AUDITED_REPORT],
         env=_python_env(),

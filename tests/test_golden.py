@@ -208,10 +208,10 @@ CUT_OFF_AT_RECORDING = {
 SEARCH_VALUES_DIGEST = "33e72967380cebb74f59a15292b3a61526ab059c2c49479f5cd66b75ccf2f24c"
 
 # The status, bounds and counts (nodes, prunes) of every search.
-SEARCH_COUNTS_DIGEST = "fd7b570a08aa8e0cae0b01af81d7f54e70d3d13a7feae4d2a607a1d392659466"
+SEARCH_COUNTS_DIGEST = "c527af91df1335c31c6525ace16fc6604bf8585cd3a67453707ab8b72573d063"
 
 # Every row of `report --n-min 3 --n-max 12`, at 5,000 nodes per search.
-REPORT_DIGEST = "f69302b69f8354d74d9c460a621443e5a9f523f7aa48997cdb08915b639c4f8a"
+REPORT_DIGEST = "5acad7bf0856f6673e7fd7881d77a846b6b68094a36328df89afb7be31b05f42"
 
 
 def digest(obj) -> str:

@@ -28,7 +28,13 @@ from boolcut import (
 from boolcut import analysis, search
 from boolcut.lattice import level_masks
 
-from helpers import brute_force_width, iter_maximal_chains, mask_of, naive_is_cutset
+from helpers import (
+    brute_force_width,
+    iter_maximal_chains,
+    mask_of,
+    missed_chain_masks,
+    naive_is_cutset,
+)
 
 
 def lattice_masks(n, m, l):
@@ -104,10 +110,13 @@ def instances(n_max):
     ]
 
 
-def assert_no_completion(n, m, l, selected, lowest, k, objective):
-    """No cutset that holds ``selected`` and adds nodes on levels >= lowest has objective <= k."""
+def assert_no_completion(n, m, l, selected, lowest, k, objective, excluded=frozenset()):
+    """No cutset that holds ``selected`` and adds nodes on levels >= lowest has objective <= k.
+
+    Nor, with ``excluded`` given, does any that adds none of its nodes.
+    """
     chains = list(iter_maximal_chains(n, m, l))
-    allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k
+    allowed = lambda v, c: v.bit_count() >= lowest and c[v.bit_count()] < k and v not in excluded
     for cut in completions(chains, selected, allowed):
         assert objective(cut) > k, (
             f"cut, but {sorted(cut)} is a cutset of objective <= {k} holding {sorted(selected)}"
@@ -154,12 +163,18 @@ class TestExactMinWidth:
     @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
     def test_past_the_default_node_cap(self, run):
         # B_7(1,4) has 98 nodes; h and g were 5..7 after 200,000 nodes
-        # before failed candidates were excluded, and take about 1,000 now.
+        # before failed candidates were excluded, and take 51 and 69 now.
         # B_7(2,4) has 91: h took 1,243,422 nodes and g was 13..14 after
-        # 2,000,000 before whole orbits were excluded, and they take 76,554
-        # and 229,760 now.
-        for n, m, l, value in [(7, 1, 4, 6), (7, 2, 4, 14)]:
-            r = run(n, m, l, node_cap=100)
+        # 2,000,000 before whole orbits were excluded, and they took 76,554
+        # and 229,760 before the chain bound skipped excluded nodes, and
+        # 68,254 and 200,020 now.  Every other row up to 130 lattice nodes
+        # that is neither trivial nor a self-dual holdout follows, all at
+        # the conjectured value; (8,3,4) takes 15,574 nodes for each.
+        for n, m, l, value in [
+            (7, 1, 4, 6), (7, 2, 4, 14), (7, 1, 5, 6), (8, 1, 3, 7), (9, 1, 3, 8),
+            (7, 3, 4, 20), (8, 2, 3, 21), (9, 2, 3, 28), (8, 3, 4, 35),
+        ]:
+            r = run(n, m, l, node_cap=130)
             assert r.status is SearchStatus.EXACT and r.value == value
 
     @pytest.mark.parametrize(
@@ -174,7 +189,8 @@ class TestExactMinWidth:
     )
     def test_settles_at_the_default_budget(self, run, n, m, l, value):
         # h(6,1,5) = 5 is the conjectured value; it took 146,312 nodes when
-        # it was first settled, and 19,070 since whole orbits are excluded.
+        # it was first settled, 19,070 once whole orbits were excluded, and
+        # 8,710 since the chain bound skips excluded nodes.
         r = run(n, m, l)
         assert r.status is SearchStatus.EXACT and r.value == value
 
@@ -190,9 +206,9 @@ class TestExactMinWidth:
         assert r.lower == 1 and r.upper >= 1
 
     def test_partial_budget_gives_bounds(self):
-        # The full search takes 349 nodes, so 200 cut it off at target 3.
+        # The full search takes 208 nodes, so 100 cut it off at target 3.
         full = exact_min_width(5, 1, 4)
-        partial = exact_min_width(5, 1, 4, SearchBudget(200, 60.0))
+        partial = exact_min_width(5, 1, 4, SearchBudget(100, 60.0))
         assert partial.status is SearchStatus.BOUNDS
         assert partial.lower <= full.value <= partial.upper
 
@@ -200,9 +216,9 @@ class TestExactMinWidth:
     @pytest.mark.parametrize("n,m,l,upper", [(6, 1, 5, 5), (6, 2, 4, 9)])
     def test_cut_off_upper_is_the_construction_count(self, run, n, m, l, upper):
         # The trivial bound, the smaller extreme level, is 6 on (6,1,5) and 15 on (6,2,4).
-        # 1,000 nodes cut off all four searches: the cheapest, g(6,1,5),
-        # takes 1,619.
-        r = run(n, m, l, SearchBudget(1000, 3600.0))
+        # 500 nodes cut off all four searches: the cheapest, g(6,1,5),
+        # takes 725.
+        r = run(n, m, l, SearchBudget(500, 3600.0))
         assert r.status is SearchStatus.BOUNDS
         assert r.upper == min(method_counts(n, m, l).values()) == upper
 
@@ -263,12 +279,14 @@ class TestChainBound:
     def prunes(n, m, l, selected, lowest, k, allowed=None):
         levels = [level_masks(n, i) for i in range(m, l + 1)]
         covers = analysis.cover_lists(levels, n)
-        found = analysis.missed_chain_masks(levels, covers, selected)
+        found = missed_chain_masks(levels, covers, selected)
         counts = Counter(v.bit_count() for v in selected)
         room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
         if found is None:
             return found, False
         down = live_prefix_counts(n, m, l, selected)
+        if allowed is None:
+            allowed = b"\x01" * sum(map(len, levels))
         return found, search._short_of_chains(found[1], down, room, allowed)
 
     def test_prunes_below_the_optimum(self):
@@ -323,26 +341,31 @@ class TestChainBound:
         pool = [v for lv in levels for v in lv]
         selected = []
         for _ in range(data.draw(st.integers(0, 10))):
-            found = analysis.missed_chain_masks(levels, covers, set(selected))
+            found = missed_chain_masks(levels, covers, set(selected))
             if found is None:
                 break
             on_chain = [v for v in found[0] if v.bit_count() >= lowest]
             selected.append(data.draw(st.sampled_from(on_chain)))
         w = brute_force_width(selected)
         k = data.draw(st.sampled_from([max(w, 1), w + 1]))
+        excluded = set(data.draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
 
         matcher = analysis.InclusionMatcher()
         for v in selected:
             matcher.push(v)
         comparable = search._comparable(levels)
-        allowed = search._addable(matcher, k, comparable)
-        if w < k:
-            assert allowed is None
-        else:
-            antichain = matcher.antichain()
-            assert [bool(b) for b in allowed] == [
-                any(v & ~a == 0 or a & ~v == 0 for a in antichain) for v in pool
-            ]
+        everything = sum(1 << 8 * b for b in range(len(pool)))
+        mask = sum(1 << 8 * b for b, v in enumerate(pool) if v in excluded)
+        antichain = matcher.antichain()
+        assert list(search._addable(matcher, k, comparable, everything, mask)) == [
+            v not in excluded
+            and (w < k or any(v & ~a == 0 or a & ~v == 0 for a in antichain))
+            for v in pool
+        ]
+        assert search._addable(None, k, None, everything, mask) == bytes(
+            v not in excluded for v in pool
+        )
+        allowed = search._addable(matcher, k, comparable, everything, 0)
         if self.prunes(n, m, l, set(selected), lowest, k, allowed)[1]:
             assert_no_completion(n, m, l, selected, lowest, k, brute_force_width)
 
@@ -351,29 +374,87 @@ class TestChainBound:
         # Random selections seldom reach the states where only the width cut
         # prunes, so every selection that the search itself cuts with it is
         # checked, and those that only it cuts must exist.
-        real_addable, real_short = search._addable, search._short_of_chains
-        state = {}
-        cut = []
+        cuts = bound_cuts(monkeypatch, exact_min_width, n, m, l)
+        assert any(cut.by_width for cut in cuts)
+        for cut in cuts:
+            if cut.by_width:
+                assert_no_completion(n, m, l, cut.selected, cut.lowest, cut.k, brute_force_width)
 
-        def addable(matcher, limit, comparable):
-            state.update(selected=list(matcher.nodes), k=limit)
-            return real_addable(matcher, limit, comparable)
 
-        def short_of_chains(up, down, room, allowed=None):
-            pruned = real_short(up, down, room, allowed)
-            if allowed is not None and pruned:
-                cut.append((state["selected"], state["k"], not real_short(up, down, room)))
-            return pruned
+def watch_search(monkeypatch):
+    """Install hooks that keep a dict current while a search runs, and return the dict.
 
-        monkeypatch.setattr(search, "_addable", addable)
-        monkeypatch.setattr(search, "_short_of_chains", short_of_chains)
-        exact_min_width(n, m, l)
-        assert any(only for _, _, only in cut)
-        for selected, k, only in cut:
-            if only:
-                # The pinned node is a lowest one.
-                lowest = min(v.bit_count() for v in selected)
-                assert_no_completion(n, m, l, selected, lowest, k, brute_force_width)
+    ``counts`` is the ``_ChainCounts`` of the running decision call, and
+    ``k`` and ``lowest`` are its target and lowest level.
+    """
+    state = {}
+    real_decide = search._decide
+
+    class Counts(search._ChainCounts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            state["counts"] = self
+
+    def decide(*args):
+        *_, limit, width, bud, lowest = args
+        state.update(k=limit, lowest=lowest)
+        return real_decide(*args)
+
+    monkeypatch.setattr(search, "_ChainCounts", Counts)
+    monkeypatch.setattr(search, "_decide", decide)
+    return state
+
+
+@dataclasses.dataclass(frozen=True)
+class BoundCut:
+    """A selection that the chain bound cut, and what the cut rested on.
+
+    ``by_width`` holds when the bound would not cut the selection if nodes
+    incomparable to the maximum antichain were allowed too, and
+    ``by_exclusion`` when it would not if the ``excluded`` nodes were.
+    """
+
+    selected: frozenset
+    k: int
+    lowest: int
+    excluded: frozenset
+    by_width: bool
+    by_exclusion: bool
+
+
+def bound_cuts(monkeypatch, run, n, m, l):
+    """Every ``BoundCut`` of the search ``run`` on (n, m, l), in the order cut."""
+    state = watch_search(monkeypatch)
+    real_addable, real_short = search._addable, search._short_of_chains
+    cuts = []
+
+    def addable(matcher, limit, comparable, everything, excluded):
+        state.update(
+            excluded=excluded,
+            without_width=real_addable(None, limit, comparable, everything, excluded),
+            without_exclusion=real_addable(matcher, limit, comparable, everything, 0),
+        )
+        return real_addable(matcher, limit, comparable, everything, excluded)
+
+    def short_of_chains(up, down, room, allowed):
+        pruned = real_short(up, down, room, allowed)
+        if pruned:
+            counts = state["counts"]
+            flat = [v for lv in counts.levels for v in lv]
+            cuts.append(BoundCut(
+                frozenset(counts.selection()),
+                state["k"],
+                state["lowest"],
+                frozenset(v for b, v in enumerate(flat) if state["excluded"] >> 8 * b & 1),
+                not real_short(up, down, room, state["without_width"]),
+                not real_short(up, down, room, state["without_exclusion"]),
+            ))
+        return pruned
+
+    monkeypatch.setattr(search, "_addable", addable)
+    monkeypatch.setattr(search, "_short_of_chains", short_of_chains)
+    assert run(n, m, l).status is SearchStatus.EXACT
+    return cuts
 
 
 class TestExclusion:
@@ -389,23 +470,19 @@ class TestExclusion:
         failed in: every failure but that of a call's last candidate, whose
         orbit no sibling would see.
         """
-        real_decide, real_orbit = search._decide, search._orbit
-        state = {}
+        state = watch_search(monkeypatch)
+        watched_decide, real_orbit = search._decide, search._orbit
         skipped, failed = set(), {}
 
         def key(candidate):
             selection = frozenset(state["counts"].selection())
             return selection, candidate, state["k"], state["lowest"]
 
-        class Counts(search._ChainCounts):
-            def __init__(self, *args):
-                super().__init__(*args)
-                state["counts"] = self
-
-            def bit(self, i, j):
-                # The search asks for a candidate's bit before testing it.
-                state["candidate"] = self.levels[i][j]
-                return super().bit(i, j)
+        class Bits(dict):
+            def __getitem__(self, v):
+                # The search looks up a candidate's bit before testing it.
+                state["candidate"] = v
+                return super().__getitem__(v)
 
         class Prunes(dict):
             def __setitem__(self, reason, count):
@@ -417,13 +494,11 @@ class TestExclusion:
             failed[key(x)] = generators
             return real_orbit(x, generators)
 
-        def decide(*args):
-            *_, limit, width, bud, lowest = args
-            state.update(k=limit, lowest=lowest)
+        def decide(n, levels, covers, below, comparable, bit_of, *rest):
+            bud = rest[-2]
             bud.prunes = Prunes(bud.prunes)
-            return real_decide(*args)
+            return watched_decide(n, levels, covers, below, comparable, Bits(bit_of), *rest)
 
-        monkeypatch.setattr(search, "_ChainCounts", Counts)
         monkeypatch.setattr(search, "_orbit", orbit)
         monkeypatch.setattr(search, "_decide", decide)
         assert run(n, m, l).status is SearchStatus.EXACT
@@ -446,6 +521,28 @@ class TestExclusion:
         pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
         for (selected, *_), generators in failed.items():
             assert set(generators) == {t for t in pairs if swapped(selected, t) == selected}
+
+    @pytest.mark.parametrize(
+        "run,objective",
+        [(exact_min_width, brute_force_width), (exact_min_per_level, largest_level)],
+        ids=["h", "g"],
+    )
+    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 3), (5, 1, 4), (5, 2, 3)])
+    def test_bound_without_excluded_nodes_on_the_search_states(
+        self, monkeypatch, run, objective, n, m, l
+    ):
+        # The chain bound leaves the excluded nodes out.  No cutset that
+        # avoids those nodes completes a selection that it cuts only for
+        # that; nor does any other, as each excluded node failed beside a
+        # part of the selection.  Such selections must exist, but on
+        # (5,2,3), where both searches take 26 nodes with or without the cut.
+        cuts = bound_cuts(monkeypatch, run, n, m, l)
+        assert any(cut.by_exclusion for cut in cuts) or (n, m, l) == (5, 2, 3)
+        for cut in cuts:
+            if cut.by_exclusion:
+                args = n, m, l, cut.selected, cut.lowest, cut.k, objective
+                assert_no_completion(*args, cut.excluded)
+                assert_no_completion(*args)
 
     @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level], ids=["h", "g"])
     @pytest.mark.parametrize("n,m,l", [(5, 1, 4), (5, 2, 3)])
@@ -521,7 +618,7 @@ class TestChainCounts:
 
         def check(selection):
             assert state.up == live_suffix_counts(n, m, l, selection)
-            found = analysis.missed_chain_masks(levels, covers, selection)
+            found = missed_chain_masks(levels, covers, selection)
             if found is not None:
                 assert state.up == found[1]
             assert state.down == live_prefix_counts(n, m, l, selection)
