@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Run the conjecture sweep's searches in this process, one at a time, and
 list each search's CPU seconds and nodes expanded, heaviest first, with
-the number of EXACT searches and the total CPU seconds at the end.
+the number of EXACT searches and the total CPU seconds at the end, then a
+sha256 over every search's (target, n, m, l, status, value, witness).
 
 The searches are those of `boolcut report` over the same range: h and g of
 every instance (n, m, l) with m <= l <= n - m whose lattice has at most
 `--node-cap` nodes, each with a budget of `--max-nodes` nodes and no
-effective time limit, so the counts repeat exactly from run to run.
+effective time limit, so the counts repeat exactly from run to run.  The
+last line does not depend on timing either, so two versions of the search
+that meet the same values and witnesses print the same last line.
 
     PYTHONPATH=src python scripts/sweep_searches.py --max-nodes 50000
 """
 
 import argparse
+import hashlib
+import json
 import time
 
 from boolcut.lattice import TruncatedLattice
@@ -44,6 +49,11 @@ def main() -> None:
         print(f"{name:<10} {r.status.value:<22} {cpu:>7.3f} {r.nodes_expanded:>7}")
     exact = sum(r.status is SearchStatus.EXACT for _, _, r in rows)
     print(f"total {len(rows)} searches, {exact} exact, {sum(row[0] for row in rows):.3f} cpu_s")
+    # In sweep order, the order of the searches, which timing does not change.
+    outcomes = [[name, r.status.value, r.value, r.witness and r.witness.to_json()]
+                for _, name, r in rows]
+    blob = json.dumps(outcomes, separators=(",", ":")).encode()
+    print(f"witnesses sha256 {hashlib.sha256(blob).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -256,30 +256,6 @@ def chain_certificate(chain_masks: Sequence[Sequence[int]]) -> Optional[int]:
     return len(chain_masks)
 
 
-def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
-    """Positions of each node's covers in the next level, for every level but the top.
-
-    ``levels`` lists the masks of each lattice level in ascending order,
-    bottom first.  Each list is ascending, because ``v | bit`` grows with
-    ``bit``, so the first entry of a list is the least cover.
-    """
-    mask_all = full_mask(n)
-    out = []
-    for lv, nxt in zip(levels, levels[1:]):
-        pos = {w: j for j, w in enumerate(nxt)}
-        rows = []
-        for v in lv:
-            row = []
-            b = mask_all ^ v
-            while b:
-                low = b & -b
-                row.append(pos[v | low])
-                b ^= low
-            rows.append(row)
-        out.append(rows)
-    return out
-
-
 def least_missed_chain(
     levels: list[list[int]], covers: list[list[list[int]]], counts: list[list[int]]
 ) -> list[int]:
@@ -304,11 +280,14 @@ def least_missed_chain(
 
 
 class _CoverRows:
-    """One level of ``cover_lists``, each row computed when it is looked up.
+    """The cover rows of one level, each computed when it is looked up.
 
-    ``least_missed_chain`` looks up only the rows along its path.  A row
-    lists the positions of the covers of the j-th node of ``lv`` in
-    ``nxt``, found by bisection, ascending like ``cover_lists``.
+    ``lv`` and ``nxt`` are the masks of a level and of the next one, both
+    ascending.  Row j lists the positions in ``nxt`` of the covers of the
+    j-th node of ``lv``, found by bisection.  It is ascending, because
+    ``v | bit`` grows with ``bit``, so its first entry is the least cover.
+    ``is_cutset`` looks up only the rows along the path of
+    ``least_missed_chain``; ``cover_lists`` lists them all.
     """
 
     def __init__(self, lv: list[int], nxt: list[int], n: int) -> None:
@@ -323,6 +302,16 @@ class _CoverRows:
             row.append(bisect_left(self.nxt, v | low))
             b ^= low
         return row
+
+
+def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
+    """Every row of ``_CoverRows``, for every level but the top.
+
+    ``levels`` lists the masks of each lattice level in ascending order,
+    bottom first.
+    """
+    levels_rows = (_CoverRows(lv, nxt, n) for lv, nxt in zip(levels, levels[1:]))
+    return [[rows[j] for j in range(len(rows.lv))] for rows in levels_rows]
 
 
 def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetReport:

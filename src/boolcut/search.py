@@ -44,11 +44,14 @@ search's memory grows with its depth and not with its node count.  Each
 result counts its prunes by reason: ``objective``, ``chain_bound`` and
 ``excluded``.
 
-Only canonical selections are searched: for each lowest occupied level i
-in m..l in turn, the node {1..i} is pinned and candidates below level i are
-skipped.  This is sound because a permutation of [n] preserves inclusion,
-levels and maximal chains, so relabelling any cutset to move one of its
-lowest nodes onto {1..i} keeps it a cutset with the same objective.
+This is the search's one symmetry rule.  Each target is searched as one
+tree from the empty selection, whose least missed chain is that of the
+nodes {1..k} for k = m..l.  Every transposition fixes the empty
+selection, so the orbit of a failed root candidate {1..k} is all of level
+k, and the subtree of {1..i} is searched with the levels m..i - 1
+excluded: it holds the cutsets whose lowest level is i, relabelled so
+that one of their lowest nodes is {1..i}, and no rule of its own is
+needed to pin that node.
 
 A chain-counting bound (the LYM argument of Yamamoto and Lubell, applied
 to the chains still unhit) cuts selections that cannot be completed.  Two
@@ -57,14 +60,14 @@ from v to level l, and ``down[v]``, the saturated paths from level m to
 v; U, the sum of ``up`` over level m, counts all unhit chains, and
 ``down[v] * up[v]`` of them pass through v.  Every level is an antichain,
 so a completion with objective <= k (width or per-level count) adds at
-most ``k - count_i`` nodes on level i (its ``room``), and none below the
-pinned level.  Nor does it add an excluded node: each one failed, or is
-the image of a failure, beside a part of the selection, so no cutset that
-holds the selection holds it.  Each unhit chain needs an added node, so
-when the largest allowed products on each level sum to less than U no
-completion exists and the selection is cut.  The failures this cut causes
-rest only on earlier ones, so the induction above still holds, and the cut
-removes only infeasible subtrees: the search meets the same first witness.
+most ``k - count_i`` nodes on level i (its ``room``).  Nor does it add an
+excluded node: each one failed, or is the image of a failure, beside a
+part of the selection, so no cutset that holds the selection holds it.
+Each unhit chain needs an added node, so when the largest allowed
+products on each level sum to less than U no completion exists and the
+selection is cut.  The failures this cut causes rest only on earlier
+ones, so the induction above still holds, and the cut removes only
+infeasible subtrees: the search meets the same first witness.
 The least missed chain is the greedy walk over ``up``
 (``analysis.least_missed_chain``).
 
@@ -85,9 +88,8 @@ a node above it, and undo restores the old counts from a trail.
 product with ``up`` 0 is 0 anyway, and every live path into a node whose
 ``up`` is positive passes only nodes whose ``up`` is positive, so each
 product ``down * up`` is still the count of unhit chains through the
-node.  The selection is an integer with one bit per lattice node, and the
-excluded nodes one with a bit every eighth place, so that written out as
-bytes it masks the allowed nodes of the bound.
+node.  The excluded nodes are an integer with one bit every eighth place,
+so that written out as bytes it masks the allowed nodes of the bound.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -262,30 +264,26 @@ class _ChainCounts:
     ``up[i][j]`` counts the unhit chains from the j-th node of level m + i to
     the top level and ``down[i][j]`` the saturated paths from the bottom level
     to it, both through unselected (live) nodes only, so both are 0 on a
-    selected node.  ``key`` has bit ``base[i] + j`` set exactly when that
-    node is selected.  The selection starts empty: then every node on level
-    k has ``up`` = perm(n - k, l - k), the orders in which the elements
-    outside it can be added, and ``down`` = perm(k, k - m), the orders in
-    which its elements beyond an m-subset were added.  After that
-    ``select`` and ``undo`` update all three in place, the old counts going
-    onto ``trail`` as ``(list, index, old)``.
+    selected node.  ``base[i] + j`` is that node's place when the nodes are
+    listed level by level.  The selection starts empty: then every node on
+    level k has ``up`` = perm(n - k, l - k), the orders in which the
+    elements outside it can be added, and ``down`` = perm(k, k - m), the
+    orders in which its elements beyond an m-subset were added.  After that
+    ``select`` and ``undo`` update both in place, the old counts going onto
+    ``trail`` as ``(list, index, old)``.
     """
 
-    __slots__ = ("levels", "covers", "below", "base", "up", "down", "key", "trail", "marks")
+    __slots__ = ("covers", "below", "base", "up", "down", "trail", "marks")
 
     def __init__(self, n, levels, covers, below) -> None:
-        self.levels, self.covers, self.below = levels, covers, below
+        self.covers, self.below = covers, below
         self.base = list(accumulate(map(len, levels), initial=0))
         m = levels[0][0].bit_count()
         l = m + len(levels) - 1
         self.up = [[perm(n - k, l - k)] * len(lv) for k, lv in enumerate(levels, m)]
         self.down = [[perm(k, k - m)] * len(lv) for k, lv in enumerate(levels, m)]
-        self.key = 0
         self.trail: list[tuple[list[int], int, int]] = []
-        self.marks: list[tuple[int, int]] = []
-
-    def bit(self, i: int, j: int) -> int:
-        return 1 << self.base[i] + j
+        self.marks: list[int] = []
 
     def select(self, i: int, j: int) -> None:
         """Select the live j-th node v of level m + i.
@@ -300,9 +298,7 @@ class _ChainCounts:
         the nonzero nodes are exactly the live ones.
         """
         trail = self.trail
-        bit = self.bit(i, j)
-        self.marks.append((len(trail), bit))
-        self.key ^= bit
+        self.marks.append(len(trail))
         ups, downs = self.up[i], self.down[i]
         u, d = ups[j], downs[j]
         trail.append((ups, j, u))
@@ -315,16 +311,11 @@ class _ChainCounts:
 
     def undo(self) -> None:
         """Undo the latest ``select`` that is not undone yet."""
-        mark, bit = self.marks.pop()
-        self.key ^= bit
+        mark = self.marks.pop()
         trail = self.trail
         for row, j, old in reversed(trail[mark:]):
             row[j] = old
         del trail[mark:]
-
-    def selection(self) -> set[int]:
-        flat = [v for lv in self.levels for v in lv]
-        return {v for b, v in enumerate(flat) if self.key >> b & 1}
 
 
 def _comparable(levels) -> dict[int, int]:
@@ -395,26 +386,17 @@ def _orbit(x, generators) -> set[int]:
 
 
 def _decide(
-    n, levels, covers, below, comparable, bit_of, elements, limit, width, bud, lowest
+    n, levels, covers, below, comparable, bit_of, elements, limit, width, bud
 ) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The objective is the width when ``width`` is true (h), else the largest
     count on one level (g).  ``room[i]`` is the most nodes level m + i may
-    still take: ``limit`` minus its count from ``lowest`` up, 0 below.  A
-    candidate on a level with no room is cut for both objectives, because a
-    level is an antichain: a (limit + 1)-th node on one level makes the
-    width, like the count, exceed ``limit``.  For h a candidate that passes
-    is pushed into an ``InclusionMatcher`` and cut when the width exceeds
-    ``limit``.
-
-    The node {1..lowest} is pinned and candidates below ``lowest`` are
-    skipped.  It is the least mask with ``lowest`` bits set, so it is at
-    position 0 of its level, which ``level_masks`` lists in ascending order.
-    Sound: relabelling [n] moves a lowest node of any cutset whose lowest
-    level is ``lowest`` onto {1..lowest} without changing its objective, and
-    branching on the least missed chain is exhaustive among cutsets holding
-    the current selection.
+    still take: ``limit`` minus its count.  A candidate on a level with no
+    room is cut for both objectives, because a level is an antichain: a
+    (limit + 1)-th node on one level makes the width, like the count,
+    exceed ``limit``.  For h a candidate that passes is pushed into an
+    ``InclusionMatcher`` and cut when the width exceeds ``limit``.
 
     ``dfs`` carries ``excluded``, a mask in the byte layout of
     ``_comparable`` (``bit_of`` maps each node to its bit).  Once a
@@ -426,9 +408,8 @@ def _decide(
     of [n] that map S onto itself, found at the call's first failure from S
     and its ``profile``, which is kept along the path (``elements`` lists
     the elements of each node); the last candidate's orbit is not needed,
-    as no sibling follows it.  A
-    call on selection S with excluded set E answers "is there a cutset T
-    holding S, with T - S on levels >= ``lowest``, disjoint from E and with
+    as no sibling follows it.  A call on selection S with excluded set E
+    answers "is there a cutset T holding S, disjoint from E and with
     objective <= ``limit``?".  Sound: such a T meets the chain at a first
     candidate v in the order tried; T holds none of the earlier candidates
     nor their images, which all fail beside S (below), so it is disjoint
@@ -446,6 +427,15 @@ def _decide(
     witness as one without the rule.  A visited-set would never hit: two
     paths to one selection part at some call, and the later one is searched
     with the earlier one's candidate excluded, though the selection holds it.
+
+    The search starts from the empty selection.  Its least missed chain
+    runs through the nodes {1..k}, k = m..l, each the least mask of its
+    level and so at position 0, as ``level_masks`` lists a level in
+    ascending order.  Every transposition of [n] fixes the empty selection,
+    so once {1..k} has failed its orbit, all of level k, is excluded: the
+    subtree of {1..i} adds no node below level i.  These exclusions are
+    the rule above at the root, so they need no argument of their own, and
+    they do what pinning a lowest node {1..i} would.
 
     A selection is also cut when the nodes it may still add cannot hit all
     of its U unhit chains (see ``_short_of_chains``).  Sound: by the same
@@ -481,20 +471,15 @@ def _decide(
     selection, or None when no such selection exists.
     """
     m = levels[0][0].bit_count()
-    pinned = (1 << lowest) - 1
     matcher = InclusionMatcher() if width else None
-    if width:
-        matcher.push(pinned)
     st = _ChainCounts(n, levels, covers, below)
-    st.select(lowest - m, 0)
     up, down, base = st.up, st.down, st.base
-    room = [limit if i >= lowest else 0 for i in range(m, m + len(levels))]
-    room[lowest - m] -= 1
+    room = [limit] * len(levels)
     prunes = bud.prunes
     everything = sum(bit_of.values())
-    chosen = {pinned}  # the masks of the selection, kept beside st.key
+    chosen = set()  # the masks of the selection
     # profile[e] sums 2 ** (16 * |v|) over the selected nodes v that hold e.
-    profile = [1 << 16 * lowest if e < lowest else 0 for e in range(n)]
+    profile = [0] * n
 
     def dfs(excluded: int) -> bool:
         # The caller has counted this node.
@@ -506,9 +491,8 @@ def _decide(
             return False
         path = least_missed_chain(levels, covers, up)
         generators = None
-        # path[i] lies on level m + i; candidates below lowest are skipped.
-        for i in range(lowest - m, len(path)):
-            j = path[i]
+        # path[i] lies on level m + i.
+        for i, j in enumerate(path):
             x = levels[i][j]
             if excluded & bit_of[x]:
                 prunes["excluded"] += 1
@@ -548,7 +532,7 @@ def _decide(
         return False
 
     bud.tick()
-    return st.selection() if dfs(0) else None
+    return chosen if dfs(0) else None
 
 
 def _run(n, m, l, budget, node_cap, width) -> SearchResult:
@@ -577,13 +561,10 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     target = 1
     try:
         while target <= upper:
-            for lowest in range(m, l + 1):
-                selection = _decide(
-                    n, levels, covers, below, comparable, bit_of, elements, target, width, bud,
-                    lowest,
-                )
-                if selection is None:
-                    continue
+            selection = _decide(
+                n, levels, covers, below, comparable, bit_of, elements, target, width, bud
+            )
+            if selection is not None:
                 wit = Cutset(lat, tuple((v,) for v in sorted(selection)))
                 nodes = wit.nodes()
                 # Re-measured independently of the search's own bookkeeping.

@@ -35,8 +35,10 @@ from boolcut.constructions import Cutset
 # before, with the same value and witness), and those of h and g when failed
 # candidates were excluded from their later siblings' subtrees (4,556 and 93
 # nodes before), again when their whole orbits were (733 and 54 nodes
-# before), and again when the chain bound left the excluded nodes out (349
-# and 53 nodes before), each time with the same values and witnesses.
+# before), again when the chain bound left the excluded nodes out (349
+# and 53 nodes before), and again when each target became one tree from the
+# empty selection (208 and 34 nodes before), each time with the same values
+# and witnesses.
 GOLDEN_REPORT_CSV = """\
 n,m,l,c,conjectured_h,g_formula,construction_count,searched_h,searched_g,flags
 3,0,0,1,1,1,1,1,1,h=conj;g=h;constr=conj
@@ -69,7 +71,7 @@ GOLDEN_SEARCH_JSON = {
     },
     "stats": {
         "nodes_expanded": 208,
-        "prunes": {"objective": 9, "chain_bound": 91, "excluded": 225},
+        "prunes": {"objective": 9, "chain_bound": 88, "excluded": 243},
     },
 }
 GOLDEN_SEARCH_G_JSON = {
@@ -88,8 +90,8 @@ GOLDEN_SEARCH_G_JSON = {
         ],
     },
     "stats": {
-        "nodes_expanded": 34,
-        "prunes": {"objective": 5, "chain_bound": 17, "excluded": 19},
+        "nodes_expanded": 33,
+        "prunes": {"objective": 5, "chain_bound": 14, "excluded": 19},
     },
 }
 
@@ -456,7 +458,7 @@ class TestSearch:
 
     def test_exhausted_budget_exits_4(self, capsys):
         code, out, _ = run(
-            capsys, "search", "--n", "4", "--m", "1", "--l", "2", "--max-nodes", "1"
+            capsys, "search", "--n", "4", "--m", "0", "--l", "2", "--max-nodes", "1"
         )
         assert code == 4 and json.loads(out)["status"] == "UNKNOWN"
 
@@ -499,8 +501,8 @@ class TestReport:
 
     def test_tiny_budget_reports_unknown_but_exits_0(self, capsys):
         code, out, _ = run(
-            capsys, "report", "--n-min", "4", "--n-max", "4", "--m-min", "1",
-            "--m-max", "1", "--max-nodes", "1",
+            capsys, "report", "--n-min", "4", "--n-max", "4", "--m-min", "0",
+            "--m-max", "0", "--max-nodes", "1",
         )
         assert code == 0
         assert any("UNKNOWN" in line for line in out.splitlines()[1:])

@@ -20,7 +20,10 @@ of every search, and the report digest every cell and the order of the
 rows; both were re-recorded when the antichain cut and the construction
 upper bound of the search went in, when a failed candidate was excluded
 from its later siblings' subtrees, and when the whole orbit of a failed
-candidate under the symmetries of the selection was.
+candidate under the symmetries of the selection was; the counts digest
+again when the chain bound skipped excluded nodes, and when each target
+became one tree from the empty selection instead of one per pinned
+lowest node.
 
 The verify digests hold the exit code and output of ``boolcut verify``,
 recorded before verify read the width off the file's own chains; they must
@@ -208,7 +211,7 @@ CUT_OFF_AT_RECORDING = {
 SEARCH_VALUES_DIGEST = "33e72967380cebb74f59a15292b3a61526ab059c2c49479f5cd66b75ccf2f24c"
 
 # The status, bounds and counts (nodes, prunes) of every search.
-SEARCH_COUNTS_DIGEST = "c527af91df1335c31c6525ace16fc6604bf8585cd3a67453707ab8b72573d063"
+SEARCH_COUNTS_DIGEST = "32cf896ec9f1611fd79c78ad1dd80d3a92ddffc9737db7136dc133360dc33dab"
 
 # Every row of `report --n-min 3 --n-max 12`, at 5,000 nodes per search.
 REPORT_DIGEST = "5acad7bf0856f6673e7fd7881d77a846b6b68094a36328df89afb7be31b05f42"

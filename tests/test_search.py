@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -123,14 +124,54 @@ def assert_no_completion(n, m, l, selected, lowest, k, objective, excluded=froze
         )
 
 
+# The sha256 of each witness JSON, recorded before the canonical pinning
+# of a lowest node was dropped, for searches that ``SEARCH_VALUES_DIGEST``
+# of ``test_golden.py`` does not cover: a new cut removes only infeasible
+# subtrees, so the search must still meet these witnesses first.
+PINNED_WITNESSES = {
+    ("h", 6, 1, 5): "38c7414b10f9b9123577c3503e6cc133a7d2f8e80183adcedf54d81ee8e378be",
+    ("g", 6, 1, 5): "a734d42861b16d966c0605a81879beb48a4599a0bc9e556a34aaf2ad1337d8c1",
+    ("g", 6, 1, 4): "a9af2e1bb243d295970c021b524989af35f20d1b506ef2fe9c5204710fb02f3b",
+    ("h", 6, 2, 4): "472f5e39fd04aa9ff10b5bf68260e631452572b08a2b8e97cba31a66601cd998",
+    ("g", 6, 2, 4): "2a447bf4fe90ddb0e6303620dc6dcaf67911b5a37aefc9bb5a9890f2e0b7f0b0",
+    ("h", 6, 1, 4): "a9af2e1bb243d295970c021b524989af35f20d1b506ef2fe9c5204710fb02f3b",
+    ("h", 7, 1, 4): "5c6425c32eaa02113c86a1287360f38dae1a14d27fb5510076fb8e8940392d77",
+    ("g", 7, 1, 4): "5c6425c32eaa02113c86a1287360f38dae1a14d27fb5510076fb8e8940392d77",
+    ("h", 7, 2, 4): "2e028a701b6e75db167b6d2076483381d5ead86f39d37d76822555eef011f97f",
+    ("g", 7, 2, 4): "18b47588465e149f6569c98247ef9cdf5e38b19ff14c8623818f5e7a16dfbd9f",
+    ("h", 7, 1, 5): "ff1e45f09a35a5233438a2bfbb78a74b2f1d2801ccb4a4e6db1649fc8170ecb8",
+    ("g", 7, 1, 5): "ff1e45f09a35a5233438a2bfbb78a74b2f1d2801ccb4a4e6db1649fc8170ecb8",
+    ("h", 8, 1, 3): "4a4191bfe6f2c8e3aae316f4f42ee5297c8f677b94beab403add13f92eb96a9d",
+    ("g", 8, 1, 3): "4a4191bfe6f2c8e3aae316f4f42ee5297c8f677b94beab403add13f92eb96a9d",
+    ("h", 9, 1, 3): "6cc9813248a17ab729e914050742b4f81d2a211a94e815c3644f0422783abe83",
+    ("g", 9, 1, 3): "6cc9813248a17ab729e914050742b4f81d2a211a94e815c3644f0422783abe83",
+    ("h", 7, 3, 4): "15411c0085aa3d5a77b13710481ae60bbb91be7a6ca7b4bb5871e13ae2bf40c3",
+    ("g", 7, 3, 4): "15411c0085aa3d5a77b13710481ae60bbb91be7a6ca7b4bb5871e13ae2bf40c3",
+    ("h", 8, 2, 3): "f6034f64d0ac8d8eacfba57c2ae4d523684bc4c4dd45ec19e7c048b3b96dba4f",
+    ("g", 8, 2, 3): "f6034f64d0ac8d8eacfba57c2ae4d523684bc4c4dd45ec19e7c048b3b96dba4f",
+    ("h", 9, 2, 3): "9f08f1d47dd38405a1fb8c3600af24b745574b9c91864a9599e152cd462bc093",
+    ("g", 9, 2, 3): "9f08f1d47dd38405a1fb8c3600af24b745574b9c91864a9599e152cd462bc093",
+    ("h", 8, 3, 4): "e049a1cb1aa411294f18301fda90646eb7de2b093516c2f40ef0f6057de89ba0",
+    ("g", 8, 3, 4): "e049a1cb1aa411294f18301fda90646eb7de2b093516c2f40ef0f6057de89ba0",
+}
+
+
+def assert_pinned(run, n, m, l, r, value):
+    """``r``, the result of ``run`` on (n, m, l), is EXACT at ``value`` with the pinned witness."""
+    assert r.status is SearchStatus.EXACT and r.value == value
+    witness = json.dumps(r.witness.to_json(), separators=(",", ":")).encode()
+    target = "h" if run is exact_min_width else "g"
+    assert hashlib.sha256(witness).hexdigest() == PINNED_WITNESSES[target, n, m, l]
+
+
 class TestExactMinWidth:
     def test_matches_exhaustive_oracle(self):
         assert oracle_min_width(4, 1, 2) == 3
         assert exact_min_width(4, 1, 2).value == 3
 
     def test_small_oracle_cross_checks(self):
-        # Canonical selection, the exclusions and the chain bound prune every
-        # search; the oracles branch over all cutsets.
+        # The exclusions and the chain bound prune every search; the
+        # oracles branch over all cutsets.
         for n, m, l in instances(5):
             assert exact_min_width(n, m, l).value == oracle_min_width(n, m, l)
             assert exact_min_per_level(n, m, l).value == oracle_min_per_level(n, m, l)
@@ -157,25 +198,24 @@ class TestExactMinWidth:
             exact_min_width(20, 5, 10)  # above the node cap
 
     def test_node_cap_override(self):
-        r = exact_min_width(6, 1, 4, node_cap=100)
-        assert r.status is SearchStatus.EXACT and r.value == 5
+        assert_pinned(exact_min_width, 6, 1, 4, exact_min_width(6, 1, 4, node_cap=100), 5)
 
     @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
     def test_past_the_default_node_cap(self, run):
         # B_7(1,4) has 98 nodes; h and g were 5..7 after 200,000 nodes
-        # before failed candidates were excluded, and take 51 and 69 now.
+        # before failed candidates were excluded, and take 41 and 59 now.
         # B_7(2,4) has 91: h took 1,243,422 nodes and g was 13..14 after
         # 2,000,000 before whole orbits were excluded, and they took 76,554
-        # and 229,760 before the chain bound skipped excluded nodes, and
-        # 68,254 and 200,020 now.  Every other row up to 130 lattice nodes
-        # that is neither trivial nor a self-dual holdout follows, all at
-        # the conjectured value; (8,3,4) takes 15,574 nodes for each.
+        # and 229,760 before the chain bound skipped excluded nodes, 68,254
+        # and 200,020 while each lowest level had its own tree, and 68,241
+        # and 200,007 now.  Every other row up to 130 lattice nodes that is
+        # neither trivial nor a self-dual holdout follows, all at the
+        # conjectured value; (8,3,4) takes 15,547 nodes for each.
         for n, m, l, value in [
             (7, 1, 4, 6), (7, 2, 4, 14), (7, 1, 5, 6), (8, 1, 3, 7), (9, 1, 3, 8),
             (7, 3, 4, 20), (8, 2, 3, 21), (9, 2, 3, 28), (8, 3, 4, 35),
         ]:
-            r = run(n, m, l, node_cap=130)
-            assert r.status is SearchStatus.EXACT and r.value == value
+            assert_pinned(run, n, m, l, run(n, m, l, node_cap=130), value)
 
     @pytest.mark.parametrize(
         "run,n,m,l,value",
@@ -191,8 +231,7 @@ class TestExactMinWidth:
         # h(6,1,5) = 5 is the conjectured value; it took 146,312 nodes when
         # it was first settled, 19,070 once whole orbits were excluded, and
         # 8,710 since the chain bound skips excluded nodes.
-        r = run(n, m, l)
-        assert r.status is SearchStatus.EXACT and r.value == value
+        assert_pinned(run, n, m, l, run(n, m, l), value)
 
     @pytest.mark.parametrize("nodes", [True, 2.5])
     def test_node_budget_must_be_an_int(self, nodes):
@@ -200,10 +239,19 @@ class TestExactMinWidth:
             SearchBudget(nodes, 1.0)
 
     def test_budget_of_one_is_unknown(self):
-        r = exact_min_width(4, 1, 2, SearchBudget(1, 60.0))
+        # With m = 0, target 1 takes 2 nodes: the root, then the node {}.
+        r = exact_min_width(4, 0, 2, SearchBudget(1, 60.0))
         assert r.status is SearchStatus.UNKNOWN
         assert r.value is None and r.witness is None
         assert r.lower == 1 and r.upper >= 1
+
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
+    def test_root_refutes_target_one(self, run):
+        # With m >= 1 the chain bound of the empty root refutes target 1 in
+        # its one node, so a budget of one node leaves bounds.
+        r = run(4, 1, 2, SearchBudget(1, 60.0))
+        assert r.status is SearchStatus.BOUNDS
+        assert (r.value, r.witness, r.lower, r.upper) == (None, None, 2, 3)
 
     def test_partial_budget_gives_bounds(self):
         # The full search takes 208 nodes, so 100 cut it off at target 3.
@@ -217,7 +265,7 @@ class TestExactMinWidth:
     def test_cut_off_upper_is_the_construction_count(self, run, n, m, l, upper):
         # The trivial bound, the smaller extreme level, is 6 on (6,1,5) and 15 on (6,2,4).
         # 500 nodes cut off all four searches: the cheapest, g(6,1,5),
-        # takes 725.
+        # takes 724.
         r = run(n, m, l, SearchBudget(500, 3600.0))
         assert r.status is SearchStatus.BOUNDS
         assert r.upper == min(method_counts(n, m, l).values()) == upper
@@ -378,26 +426,36 @@ class TestChainBound:
         assert any(cut.by_width for cut in cuts)
         for cut in cuts:
             if cut.by_width:
-                assert_no_completion(n, m, l, cut.selected, cut.lowest, cut.k, brute_force_width)
+                args = n, m, l, cut.selected, m, cut.k, brute_force_width
+                assert_no_completion(*args, cut.excluded)
 
 
 def watch_search(monkeypatch):
     """Install hooks that keep a dict current while a search runs, and return the dict.
 
-    ``counts`` is the ``_ChainCounts`` of the running decision call, and
-    ``k`` and ``lowest`` are its target and lowest level.
+    ``k`` is the target of the running decision call, ``levels`` the
+    levels of its lattice and ``selection`` the nodes that its
+    ``_ChainCounts`` holds selected, in the order selected.
     """
     state = {}
     real_decide = search._decide
 
     class Counts(search._ChainCounts):
-        def __init__(self, *args):
-            super().__init__(*args)
-            state["counts"] = self
+        def __init__(self, n, levels, covers, below):
+            super().__init__(n, levels, covers, below)
+            state.update(levels=levels, selection=[])
+
+        def select(self, i, j):
+            super().select(i, j)
+            state["selection"].append(state["levels"][i][j])
+
+        def undo(self):
+            super().undo()
+            state["selection"].pop()
 
     def decide(*args):
-        *_, limit, width, bud, lowest = args
-        state.update(k=limit, lowest=lowest)
+        *_, limit, width, bud = args
+        state["k"] = limit
         return real_decide(*args)
 
     monkeypatch.setattr(search, "_ChainCounts", Counts)
@@ -416,10 +474,15 @@ class BoundCut:
 
     selected: frozenset
     k: int
-    lowest: int
     excluded: frozenset
     by_width: bool
     by_exclusion: bool
+
+
+def excluded_nodes(state, excluded):
+    """The nodes of the mask ``excluded``, in the byte layout of ``search._comparable``."""
+    flat = [v for lv in state["levels"] for v in lv]
+    return frozenset(v for b, v in enumerate(flat) if excluded >> 8 * b & 1)
 
 
 def bound_cuts(monkeypatch, run, n, m, l):
@@ -439,13 +502,10 @@ def bound_cuts(monkeypatch, run, n, m, l):
     def short_of_chains(up, down, room, allowed):
         pruned = real_short(up, down, room, allowed)
         if pruned:
-            counts = state["counts"]
-            flat = [v for lv in counts.levels for v in lv]
             cuts.append(BoundCut(
-                frozenset(counts.selection()),
+                frozenset(state["selection"]),
                 state["k"],
-                state["lowest"],
-                frozenset(v for b, v in enumerate(flat) if state["excluded"] >> 8 * b & 1),
+                excluded_nodes(state, state["excluded"]),
                 not real_short(up, down, room, state["without_width"]),
                 not real_short(up, down, room, state["without_exclusion"]),
             ))
@@ -464,7 +524,7 @@ class TestExclusion:
     def skips(monkeypatch, run, n, m, l):
         """Where ``run`` skips an excluded node, and where a candidate fails.
 
-        The skips are a set of (selection, candidate, target, lowest).  The
+        The skips are a set of (selection, candidate, target).  The
         failures map each such tuple to the generators of the orbit that
         the search excludes, at the selection of the call the candidate
         failed in: every failure but that of a call's last candidate, whose
@@ -475,8 +535,7 @@ class TestExclusion:
         skipped, failed = set(), {}
 
         def key(candidate):
-            selection = frozenset(state["counts"].selection())
-            return selection, candidate, state["k"], state["lowest"]
+            return frozenset(state["selection"]), candidate, state["k"]
 
         class Bits(dict):
             def __getitem__(self, v):
@@ -495,7 +554,7 @@ class TestExclusion:
             return real_orbit(x, generators)
 
         def decide(n, levels, covers, below, comparable, bit_of, *rest):
-            bud = rest[-2]
+            bud = rest[-1]
             bud.prunes = Prunes(bud.prunes)
             return watched_decide(n, levels, covers, below, comparable, Bits(bit_of), *rest)
 
@@ -513,9 +572,9 @@ class TestExclusion:
     def test_excluded_candidates_have_no_completion(self, monkeypatch, run, objective, n, m, l):
         skipped, failed = self.skips(monkeypatch, run, n, m, l)
         assert skipped
-        for selected, candidate, k, lowest in skipped:
+        for selected, candidate, k in skipped:
             assert candidate not in selected
-            assert_no_completion(n, m, l, selected | {candidate}, lowest, k, objective)
+            assert_no_completion(n, m, l, selected | {candidate}, m, k, objective)
         # The generators are the transpositions that map the selection of
         # their call onto itself, all of them.
         pairs = [1 << a | 1 << b for a, b in combinations(range(n), 2)]
@@ -534,13 +593,13 @@ class TestExclusion:
         # The chain bound leaves the excluded nodes out.  No cutset that
         # avoids those nodes completes a selection that it cuts only for
         # that; nor does any other, as each excluded node failed beside a
-        # part of the selection.  Such selections must exist, but on
-        # (5,2,3), where both searches take 26 nodes with or without the cut.
+        # part of the selection.  Such selections must exist: on (5,2,3)
+        # too, where both searches take 24 nodes, and 26 without the cut.
         cuts = bound_cuts(monkeypatch, run, n, m, l)
-        assert any(cut.by_exclusion for cut in cuts) or (n, m, l) == (5, 2, 3)
+        assert any(cut.by_exclusion for cut in cuts)
         for cut in cuts:
             if cut.by_exclusion:
-                args = n, m, l, cut.selected, cut.lowest, cut.k, objective
+                args = n, m, l, cut.selected, m, cut.k, objective
                 assert_no_completion(*args, cut.excluded)
                 assert_no_completion(*args)
 
@@ -552,10 +611,36 @@ class TestExclusion:
         # skipped at or a part of it.
         skipped, failed = self.skips(monkeypatch, run, n, m, l)
         assert any(
-            not any((y, k2, low2) == (x, k, lowest) and part <= selected
-                    for part, y, k2, low2 in failed)
-            for selected, x, k, lowest in skipped
+            not any((y, k2) == (x, k) and part <= selected for part, y, k2 in failed)
+            for selected, x, k in skipped
         )
+
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level], ids=["h", "g"])
+    @pytest.mark.parametrize("n,m,l", [(4, 1, 3), (5, 1, 4), (5, 2, 3)])
+    def test_root_excludes_whole_levels(self, monkeypatch, run, n, m, l):
+        # Every transposition fixes the empty selection, so at the root the
+        # orbit of a failed candidate {1..k} is all of level k: the subtree
+        # of {1..i} is searched with exactly the levels m..i - 1 excluded.
+        state = watch_search(monkeypatch)
+        real_addable = search._addable
+        entered = []  # (target, the one selected node, the excluded nodes)
+
+        def addable(matcher, limit, comparable, everything, excluded):
+            # Called once on entering each selection; one node is a root candidate.
+            if len(state["selection"]) == 1:
+                entered.append((limit, *state["selection"], excluded_nodes(state, excluded)))
+            return real_addable(matcher, limit, comparable, everything, excluded)
+
+        monkeypatch.setattr(search, "_addable", addable)
+        assert run(n, m, l).status is SearchStatus.EXACT
+        flat = [v for lv in state["levels"] for v in lv]
+        for k in {k for k, _, _ in entered}:
+            tried = [(x, excluded) for k2, x, excluded in entered if k2 == k]
+            assert tried == [
+                ((1 << i) - 1, frozenset(v for v in flat if v.bit_count() < i))
+                for i in range(m, m + len(tried))
+            ]
+        assert any(x.bit_count() > m for _, x, _ in entered)
 
 
 def swapped(selection, t):
@@ -611,10 +696,9 @@ class TestChainCounts:
         levels = [level_masks(n, i) for i in range(m, l + 1)]
         covers = analysis.cover_lists(levels, n)
         state = search._ChainCounts(n, levels, covers, search._lower_covers(levels, covers))
-        flat = [v for lv in levels for v in lv]
 
         def snapshot():
-            return [row[:] for row in state.up], [row[:] for row in state.down], state.key
+            return [row[:] for row in state.up], [row[:] for row in state.down]
 
         def check(selection):
             assert state.up == live_suffix_counts(n, m, l, selection)
@@ -622,8 +706,6 @@ class TestChainCounts:
             if found is not None:
                 assert state.up == found[1]
             assert state.down == live_prefix_counts(n, m, l, selection)
-            assert state.key == sum(1 << flat.index(v) for v in selection)
-            assert state.selection() == selection
 
         check(set())
         initial = snapshot()
@@ -723,7 +805,7 @@ class TestConjectureReport:
         assert json.loads(json.dumps(data)) == data
 
     def test_flags_undecided_under_tiny_budget(self):
-        rep = conjecture_report(4, 1, 2, SearchBudget(1, 60.0))
+        rep = conjecture_report(4, 0, 2, SearchBudget(1, 60.0))
         assert rep.searched_h.status is SearchStatus.UNKNOWN
         assert rep.equal_flags["h_matches_conjectured"] is None
         assert rep.equal_flags["all_equal"] is None
@@ -748,7 +830,7 @@ def test_sweep_searches_script_lists_every_search_heaviest_first():
     )
     lines = out.stdout.splitlines()
     assert lines[0].split() == ["search", "status", "cpu_s", "nodes"]
-    rows = [line.split() for line in lines[1:-1]]
+    rows = [line.split() for line in lines[1:-2]]
     assert len(rows) == 158  # h and g of the 79 sweep instances
     assert len({row[0] for row in rows}) == 158
     cpu = [float(row[2]) for row in rows]
@@ -756,4 +838,6 @@ def test_sweep_searches_script_lists_every_search_heaviest_first():
     assert all(int(row[3]) <= 101 for row in rows)  # the budget, plus the tick that ran past it
     assert {row[1] for row in rows} == {"EXACT", "LOWER_AND_UPPER_BOUNDS"}
     exact = sum(row[1] == "EXACT" for row in rows)
-    assert lines[-1].startswith(f"total 158 searches, {exact} exact, ")
+    assert lines[-2].startswith(f"total 158 searches, {exact} exact, ")
+    label, digest = lines[-1].rsplit(" ", 1)
+    assert label == "witnesses sha256" and len(bytes.fromhex(digest)) == 32
