@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .chains import Chain, augment, greedy_match
 from .errors import DomainError, InternalError
-from .lattice import NodeSet, TruncatedLattice, check_mask, full_mask, level_masks, mask_repr
+from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
 
 
 @dataclass(frozen=True)
@@ -329,18 +329,14 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
     along its path alone.
     """
     n = lat.n
+    check_node = lat.check_node
     selected: set[int] = set()
     for a in nodes:
         if isinstance(a, NodeSet):
             if a.n != n:
                 raise DomainError("ground size mismatch with the lattice")
             a = a.bits
-        else:
-            check_mask(a, n)
-        if not lat.m <= a.bit_count() <= lat.l:
-            raise DomainError(
-                f"node {mask_repr(a)} at level {a.bit_count()} outside levels {lat.m}..{lat.l}"
-            )
+        check_node(a)
         selected.add(a)
     levels = [level_masks(n, i) for i in lat.levels]
     free = full_mask(n)

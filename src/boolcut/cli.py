@@ -97,36 +97,18 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
     _add_size_flag(p, search.DEFAULT_NODE_CAP)
 
 
-def _construction_size(n: int, m: int, l: int, method: str) -> int:
-    """The most nodes the method's cutset of levels m..l can hold.
-
-    k chains over c levels hold at most k * c nodes; where ``method_counts``
-    has no count for the method, the lattice size bounds the cutset instead.
-    """
-    counts = constructions.method_counts(n, m, l) if 0 <= m <= l <= n - m else {}
-    if method in counts:
-        return counts[method] * (l - m + 1)
-    return TruncatedLattice(n, m, l).node_count
-
-
 def cmd_construct(args) -> int:
-    expected_l = {"level": args.m, "bicolor": args.m + 1, "fourcolor": args.m + 2}
-    if args.method in expected_l and args.l != expected_l[args.method]:
-        raise DomainError(
-            f"method {args.method} builds levels m..{expected_l[args.method]}, "
-            f"but l={args.l} was requested"
-        )
-    method = (
-        constructions.choose_method(args.n, args.m, args.l)
-        if args.method == "auto"
-        else args.method
-    )
+    n, m, l = args.n, args.m, args.l
+    counts = constructions.method_counts(n, m, l)
+    method = constructions.choose_method(n, m, l) if args.method == "auto" else args.method
+    if method not in counts:
+        raise DomainError(f"method {method} does not apply to n={n} m={m} l={l}")
     _refuse_oversize(
-        f"the {method} cutset of B_{args.n}({args.m}, {args.l}) has up to",
-        _construction_size(args.n, args.m, args.l, method),
+        f"the {method} cutset of B_{n}({m}, {l}) has up to",
+        counts[method] * (l - m + 1),
         args.max_lattice_nodes,
     )
-    cut = constructions.BUILDERS[method](args.n, args.m, args.l)
+    cut = constructions.BUILDERS[method](n, m, l)
     summary = {
         "method": method,
         "chain_count": cut.chain_count,
@@ -149,8 +131,7 @@ def cmd_verify(args) -> int:
         with open(args.input) as f:
             data = json.load(f)
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read cutset JSON: {exc}", file=sys.stderr)
-        return 2
+        raise DomainError(f"cannot read cutset JSON: {exc}") from None
     cut = Cutset.from_json(data)
     _refuse_oversize(
         f"the lattice B_{cut.lat.n}({cut.lat.m}, {cut.lat.l}) has",
@@ -467,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--target", choices=["h", "g"], default="h")
-    _add_budget_flags(p, nodes=2_000_000, seconds=120.0)
+    default = SearchBudget()
+    _add_budget_flags(p, nodes=default.max_nodes_expanded, seconds=default.wall_clock_limit)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="conjecture-comparison CSV over a parameter range")

@@ -31,11 +31,9 @@ from .formulas import binomial, delta, per_level_bound_value
 from .lattice import (
     NodeSet,
     TruncatedLattice,
-    check_mask,
     level_masks,
     mask_elements,
     mask_from_json,
-    mask_repr,
 )
 
 # Each builder takes (n, m, l).  The lambdas look the builders up at call
@@ -64,16 +62,11 @@ class Cutset:
     chain_masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        lat = self.lat
+        check_node = self.lat.check_node
         for ch in self.chain_masks:
             check_chain_masks(ch)
             for v in ch:
-                check_mask(v, lat.n)
-                if not lat.m <= v.bit_count() <= lat.l:
-                    raise DomainError(
-                        f"node {mask_repr(v)} at level {v.bit_count()} outside levels "
-                        f"{lat.m}..{lat.l}"
-                    )
+                check_node(v)
 
     @property
     def chain_count(self) -> int:

@@ -114,14 +114,14 @@ def check_identities(max_n: int, max_m: int) -> list[IdentityCheck]:
             records.append(IdentityCheck("delta_sum_c1", n, m, lhs, rhs, lhs == rhs))
             if n >= m + 1:
                 lhs = _delta_sum(n, m, 2)
-                rhs = binomial(n - 1, m)
+                rhs = per_level_bound_value(n, m, m + 1)
                 records.append(IdentityCheck("delta_sum_c2", n, m, lhs, rhs, lhs == rhs))
             if n >= 2 * m + 2:
                 lhs = _delta_sum(n, m, 3)
-                rhs = sum(binomial(n - 2 * j - 2, m - j) for j in range(m + 1))
+                rhs = per_level_bound_value(n, m, m + 2)
                 records.append(IdentityCheck("delta_sum_c3", n, m, lhs, rhs, lhs == rhs))
             if n >= 2 * m:
                 lhs = sum(delta(2 * m, j) * binomial(n - 2 * m, m - j) for j in range(m + 1))
-                rhs = binomial(n, m) - binomial(n, m - 1)
+                rhs = delta(n, m)
                 records.append(IdentityCheck("lift_count", n, m, lhs, rhs, lhs == rhs))
     return records

@@ -125,6 +125,15 @@ class TruncatedLattice:
                 f"need 0 <= m <= l <= n <= {MAX_GROUND}, got n={self.n} m={self.m} l={self.l}"
             )
 
+    def check_node(self, bits: int) -> None:
+        """Raise unless ``bits`` is the bit vector of a node of the lattice."""
+        check_mask(bits, self.n)
+        if not self.m <= bits.bit_count() <= self.l:
+            raise DomainError(
+                f"node {mask_repr(bits)} at level {bits.bit_count()} outside levels "
+                f"{self.m}..{self.l}"
+            )
+
     @property
     def levels(self) -> range:
         return range(self.m, self.l + 1)

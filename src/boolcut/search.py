@@ -7,89 +7,26 @@ chain-hitting branch engine:
 * g(n, m, l), the least k such that some cutset has at most k nodes on
   every level.
 
-The decision subproblem "is there a cutset with objective <= target?" is
-solved by branching on the lexicographically least maximal chain missed by
-the current selection: any cutset must contain one of its nodes, so trying
-each node (in ascending numeric order) is exhaustive.  Both objectives
-only grow as nodes are added, so a branch whose objective exceeds the
-target is cut.  One list, ``room``, holds how many more nodes each level
-may take, the target minus its count; it is the per-level objective.  A
-level is an antichain, so a node on a level without room also makes the
-width exceed the target; for h, a node that passes that test is pushed
-into an incremental matching (one augmentation) and cut if the width does.
+``_run`` raises the target from 1 until ``_decide`` finds a cutset whose
+objective is at most the target.  ``_decide`` solves that decision
+subproblem with one depth-first search from the empty selection, which
+branches on the lexicographically least maximal chain missed by the
+current selection, the greedy walk over its unhit-chain counts
+(``analysis.least_missed_chain``): any cutset must contain one of its
+nodes, so trying each node (in ascending numeric order) is exhaustive.
+Each pruning rule is argued once, in the docstring of the function that
+applies it:
 
-A candidate that fails, because its subtree holds no cutset or because it
-is cut as above, is excluded from the subtrees of its later siblings, as
-DPLL does after a failed decision (Davis, Logemann and Loveland, 1962),
-and so is its whole orbit under the symmetries of the selection, as in
-isomorph rejection (McKay, 1998).  Sound: a cutset that holds the
-selection meets the branching chain at a first candidate, so it holds
-none of the candidates before it, and the branch of that candidate was
-searched with exactly those excluded.  By induction on the order of the
-failures each failure is unconditional: an excluded node x failed beside
-a sub-selection S' of the current one, so no cutset holds S' + x, nor any
-superset of it.  The symmetries are the permutations of [n] generated by
-the transpositions (a b) that map the selection S of the failure onto
-itself; each of them fixes S, so every product of them does.  Such a
-permutation preserves inclusion, levels and maximal chains, so it maps a
-cutset holding S + x onto a cutset holding S + x' with the same levels
-and objective, for x' the image of x: each image fails unconditionally
-too.  The orbit is added only once x has failed, since that failure is
-what it rests on; x's own subtree holds x and is searched without it.  So
-only infeasible subtrees are cut, and the search meets the same first
-witness as without the rule.  No selection is entered twice: two paths to
-it part at some call, and the later one excludes the earlier one's
-candidate, which the selection holds.  So no visited-set is kept, and a
-search's memory grows with its depth and not with its node count.  Each
-result counts its prunes by reason: ``objective``, ``chain_bound`` and
-``excluded``.
+* ``_decide``: the objective cut, the exclusion of failed candidates and
+  of their orbits under the symmetries of the selection (the search's
+  one symmetry rule, also at the empty root), and why no visited-set is
+  kept;
+* ``_short_of_chains``: the chain-counting bound;
+* ``_addable``: the width cut of h, from a maximum antichain;
+* ``_ChainCounts``: the incremental unhit-chain counts the bound reads.
 
-This is the search's one symmetry rule.  Each target is searched as one
-tree from the empty selection, whose least missed chain is that of the
-nodes {1..k} for k = m..l.  Every transposition fixes the empty
-selection, so the orbit of a failed root candidate {1..k} is all of level
-k, and the subtree of {1..i} is searched with the levels m..i - 1
-excluded: it holds the cutsets whose lowest level is i, relabelled so
-that one of their lowest nodes is {1..i}, and no rule of its own is
-needed to pin that node.
-
-A chain-counting bound (the LYM argument of Yamamoto and Lubell, applied
-to the chains still unhit) cuts selections that cannot be completed.  Two
-path counts over the unselected nodes give ``up[v]``, the unhit chains
-from v to level l, and ``down[v]``, the saturated paths from level m to
-v; U, the sum of ``up`` over level m, counts all unhit chains, and
-``down[v] * up[v]`` of them pass through v.  Every level is an antichain,
-so a completion with objective <= k (width or per-level count) adds at
-most ``k - count_i`` nodes on level i (its ``room``).  Nor does it add an
-excluded node: each one failed, or is the image of a failure, beside a
-part of the selection, so no cutset that holds the selection holds it.
-Each unhit chain needs an added node, so when the largest allowed
-products on each level sum to less than U no completion exists and the
-selection is cut.  The failures this cut causes rest only on earlier
-ones, so the induction above still holds, and the cut removes only
-infeasible subtrees: the search meets the same first witness.
-The least missed chain is the greedy walk over ``up``
-(``analysis.least_missed_chain``).
-
-For h the bound also uses the width.  Once the selection S has width k,
-the target, take a maximum antichain A of S (Dilworth, 1950), read off the
-incremental matching by Koenig's construction (1931).  A node incomparable
-to every member of A would make A plus that node an antichain of k + 1
-nodes, so a completion of width <= k adds only nodes comparable to some
-member of A: only their products count towards the bound, and any other
-candidate is cut before it is pushed.
-
-Both counts are kept incrementally (``_ChainCounts``): a decision call
-starts them from closed forms on the empty selection, then each selected
-node v removes exactly the unhit chains through v, ``up[v]`` times the
-live paths from a node below v to v and ``down[v]`` times those from v to
-a node above it, and undo restores the old counts from a trail.
-``down`` is a plain live-path count, not zeroed where ``up`` is 0: a
-product with ``up`` 0 is 0 anyway, and every live path into a node whose
-``up`` is positive passes only nodes whose ``up`` is positive, so each
-product ``down * up`` is still the count of unhit chains through the
-node.  The excluded nodes are an integer with one bit every eighth place,
-so that written out as bytes it masks the allowed nodes of the bound.
+Each result counts its prunes by reason: ``objective``, ``chain_bound``
+and ``excluded``.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
 UNKNOWN, never a wrong value, and every EXACT result re-verifies its
@@ -201,14 +138,21 @@ class _Budget:
 def _short_of_chains(up, down, room, allowed) -> bool:
     """True when no allowed completion can hit every unhit chain.
 
-    ``up`` and ``down`` are the per-level counts of ``_ChainCounts`` and
-    ``room`` the most nodes a completion may still add on each level.
-    ``allowed`` holds one byte per lattice node, at ``_ChainCounts.base[i] +
-    j`` for the j-th node of level m + i, and only the nodes whose byte is 1
-    may be added (``_addable``): the excluded nodes never are, since no
-    cutset that holds the selection holds one of them (see ``_decide``).
-    Exactly ``down[v] * up[v]`` unhit chains pass through v, and U, the
-    sum of ``up`` over the bottom level, counts them all.
+    This is the chain-counting bound: the LYM argument of Yamamoto and
+    Lubell, applied to the chains still unhit.  ``up`` and ``down`` are the
+    per-level counts of ``_ChainCounts``, so exactly ``down[v] * up[v]``
+    unhit chains pass through v, and U, the sum of ``up`` over the bottom
+    level, counts them all.  ``room`` holds the most nodes a completion may
+    still add on each level: every level is an antichain, so a completion
+    with objective <= k (width or per-level count) adds at most k minus the
+    level's count there (see ``_decide``).  ``allowed`` holds one byte per
+    lattice node, at ``_ChainCounts.base[i] + j`` for the j-th node of level
+    m + i, and only the nodes whose byte is 1 may be added (``_addable``):
+    the excluded nodes never are, since no cutset that holds the selection
+    holds one of them (see ``_decide``).  Sound: each unhit chain needs an
+    added node, so when the largest allowed products, at most ``room[i]`` of
+    them on level m + i, sum to less than U, no completion exists and the
+    selection is infeasible.
     """
     total = sum(up[0])
     reach = 0
@@ -270,7 +214,12 @@ class _ChainCounts:
     elements outside it can be added, and ``down`` = perm(k, k - m), the
     orders in which its elements beyond an m-subset were added.  After that
     ``select`` and ``undo`` update both in place, the old counts going onto
-    ``trail`` as ``(list, index, old)``.
+    ``trail`` as ``(list, index, old)``: selecting v removes exactly the
+    unhit chains through v, and undo restores the old counts.  ``down`` is a
+    plain live-path count, not zeroed where ``up`` is 0: a product with
+    ``up`` 0 is 0 anyway, and every live path into a node whose ``up`` is
+    positive passes only nodes whose ``up`` is positive, so each product
+    ``down * up`` is still the count of unhit chains through the node.
     """
 
     __slots__ = ("covers", "below", "base", "up", "down", "trail", "marks")
@@ -338,8 +287,17 @@ def _addable(matcher, limit, comparable, everything, excluded) -> bytes:
     every lattice node and ``excluded`` the nodes that no completion adds.
     For g ``matcher`` is None, and any other node may be added; so it may
     for h while the matcher's width is below ``limit``.  At ``limit`` only
-    the nodes comparable to a member of the maximum antichain A that the
-    matcher reads off its matching may be (see ``_decide``).
+    the nodes comparable to a member of A may be, a maximum antichain of the
+    selection S (Dilworth, 1950) that the matcher reads off its matching by
+    Koenig's construction (1931).  Sound: |A| = ``limit``, and a cutset T of
+    width <= ``limit`` that holds S adds only nodes comparable to some
+    member of A, since for a node v of T incomparable to all of them A + v
+    would be an antichain of T with ``limit`` + 1 nodes.  So every unhit
+    chain needs an added node among the allowed ones, and
+    ``_short_of_chains`` sums only their products.  A candidate that is not
+    excluded but outside the allowed nodes would fail the push for the same
+    reason, so ``_decide`` cuts it as an ``objective`` prune before the
+    push, with the same counts.
     """
     mask = everything
     if matcher is not None and matcher.width >= limit:
@@ -391,18 +349,21 @@ def _decide(
     """Find a selection meeting every maximal chain with objective <= limit.
 
     The objective is the width when ``width`` is true (h), else the largest
-    count on one level (g).  ``room[i]`` is the most nodes level m + i may
-    still take: ``limit`` minus its count.  A candidate on a level with no
-    room is cut for both objectives, because a level is an antichain: a
-    (limit + 1)-th node on one level makes the width, like the count,
-    exceed ``limit``.  For h a candidate that passes is pushed into an
-    ``InclusionMatcher`` and cut when the width exceeds ``limit``.
+    count on one level (g); both only grow as nodes are added.  ``room[i]``
+    is the most nodes level m + i may still take: ``limit`` minus its
+    count.  A candidate on a level with no room is cut for both objectives,
+    because a level is an antichain: a (limit + 1)-th node on one level
+    makes the width, like the count, exceed ``limit``.  For h a candidate
+    that passes is pushed into an ``InclusionMatcher`` and cut when the
+    width exceeds ``limit``.
 
     ``dfs`` carries ``excluded``, a mask in the byte layout of
     ``_comparable`` (``bit_of`` maps each node to its bit).  Once a
     candidate x on the least missed chain is cut or its own subtree fails,
     its orbit joins the mask (see ``_orbit``), so x and its images stay
-    excluded in the subtrees of x's later siblings; an excluded candidate
+    excluded in the subtrees of x's later siblings, as DPLL does after a
+    failed decision (Davis, Logemann and Loveland, 1962) and as isomorph
+    rejection does with a whole orbit (McKay, 1998); an excluded candidate
     is skipped as an ``excluded`` prune, without a tick.  The orbit is that
     under the ``_generators`` of the call's selection S, the transpositions
     of [n] that map S onto itself, found at the call's first failure from S
@@ -418,57 +379,39 @@ def _decide(
     failed node x, or an image of one, beside a sub-selection S' of S, with
     a smaller mask, so by induction on the order of the failures no cutset
     holds S' + x.  A permutation s generated by the transpositions fixes
-    S', as each of them does, and maps a cutset T holding S' + s(x) onto
-    the cutset s^-1(T) holding S' + x, with the same levels and objective,
-    so no cutset holds S' + s(x) either, nor S + s(x).  The orbit joins the
-    mask only after x fails: the images of x are not known to fail before
-    that, and x's own subtree must not exclude them.  So a failed call
-    proves S infeasible outright, and the search meets the same first
-    witness as one without the rule.  A visited-set would never hit: two
-    paths to one selection part at some call, and the later one is searched
-    with the earlier one's candidate excluded, though the selection holds it.
+    S', as each of them does; it preserves inclusion, levels and maximal
+    chains, so it maps a cutset T holding S' + s(x) onto the cutset s^-1(T)
+    holding S' + x, with the same levels and objective, so no cutset holds
+    S' + s(x) either, nor S + s(x).  The orbit joins the mask only after x
+    fails: the images of x are not known to fail before that, and x's own
+    subtree must not exclude them.  So a failed call proves S infeasible
+    outright, and the search meets the same first witness as one without
+    the rule.  A visited-set would never hit: two paths to one selection
+    part at some call, and the later one is searched with the earlier one's
+    candidate excluded, though the selection holds it.  So none is kept,
+    and a search's memory grows with its depth and not with its node count.
 
     The search starts from the empty selection.  Its least missed chain
     runs through the nodes {1..k}, k = m..l, each the least mask of its
     level and so at position 0, as ``level_masks`` lists a level in
     ascending order.  Every transposition of [n] fixes the empty selection,
     so once {1..k} has failed its orbit, all of level k, is excluded: the
-    subtree of {1..i} adds no node below level i.  These exclusions are
-    the rule above at the root, so they need no argument of their own, and
-    they do what pinning a lowest node {1..i} would.
+    subtree of {1..i} adds no node below level i, and holds the cutsets
+    whose lowest level is i, relabelled so that one of their lowest nodes
+    is {1..i}.  These exclusions are the rule above at the root, so they
+    need no argument of their own.
 
-    A selection is also cut when the nodes it may still add cannot hit all
-    of its U unhit chains (see ``_short_of_chains``).  Sound: by the same
-    antichain argument a completion adds at most ``room[i]`` nodes on level
-    m + i; every unhit chain needs one added node, and an added node v hits
-    exactly ``down[v] * up[v]`` of them.  If the largest allowed such
-    products sum to less than U, no completion exists, so the selection is
-    infeasible.  A node of E is never allowed: the call asks for a T
-    disjoint from E, and by the argument above no cutset that holds S holds
-    a node of E anyway.  So a call failed by this cut proves S infeasible
-    like any other.  E holds only failures earlier than the cut and their
-    images, so the induction on the order of the failures is not circular,
-    and the search still meets the same first witness.  The counts are kept
-    incrementally: selecting v removes exactly the unhit chains through v,
-    and ``_ChainCounts.select`` subtracts them from the counts of the live
-    nodes below and above v.
-    ``down`` counts live paths from the bottom level even where ``up`` is 0;
-    that leaves every product unchanged, because a product with ``up`` 0 is
-    0 and a live path into a node with positive ``up`` runs only through
-    nodes with positive ``up``.
-
-    For h, once the width of the selection S equals ``limit``, only the
-    nodes that ``_addable`` allows may be added, in the bound and among the
-    candidates.  Sound: let A be a maximum antichain of S, so |A| = ``limit``.
-    Any cutset T of width <= ``limit`` that holds S adds only nodes
-    comparable to some member of A, since for a node v of T incomparable to
-    all of them A + v would be an antichain of T with ``limit`` + 1 nodes.
-    So every unhit chain needs an added node among the allowed ones, and
-    the bound sums only their products; a cut selection is infeasible like
-    any other.  A candidate that is not excluded but outside the allowed
-    nodes would fail the push for the same reason, so it is cut as an
-    ``objective`` prune before the push, with the same counts.  Returns the
-    selection, or None when no such selection exists.
+    A selection is also cut when ``_short_of_chains`` finds that the nodes
+    it may still add cannot hit all of its unhit chains, and for h, once
+    the width of S equals ``limit``, only the nodes that ``_addable``
+    allows may be added, in that bound and among the candidates; a
+    candidate outside them is cut as an ``objective`` prune before the
+    push.  Both cuts remove only selections that no cutset of objective
+    <= ``limit`` disjoint from E completes (see those functions), so a call
+    they fail proves S infeasible like any other.  E holds only failures
+    earlier than the cut and their images, so the induction on the order of
+    the failures is not circular.  Returns the selection, or None when no
+    such selection exists.
     """
     m = levels[0][0].bit_count()
     matcher = InclusionMatcher() if width else None
@@ -536,9 +479,9 @@ def _decide(
 
 
 def _run(n, m, l, budget, node_cap, width) -> SearchResult:
-    if not 0 <= m <= l <= n - m:
-        raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
+    # The lattice caps n before method_counts evaluates binomials in n.
     lat = TruncatedLattice(n, m, l)
+    counts = method_counts(n, m, l)
     if lat.node_count > node_cap:
         raise DomainError(
             f"lattice has {lat.node_count} nodes, above the cap {node_cap}; "
@@ -557,7 +500,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
     # construction, with k chains holding at most k nodes on a level and
     # having width at most k; both bound both objectives.  Level m is the
     # smallest, as C(n, m) <= C(n, i) for m <= i <= n - m.
-    upper = min([len(levels[0]), *method_counts(n, m, l).values()])
+    upper = min([len(levels[0]), *counts.values()])
     target = 1
     try:
         while target <= upper:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolcut import (
+    Cutset,
     DomainError,
     InternalError,
     NodeSet,
@@ -53,6 +54,17 @@ class TestIsCutset:
             is_cutset(lat, [0])
         with pytest.raises(DomainError, match="does not fit in"):
             is_cutset(lat, [1 << 4])
+
+    @pytest.mark.parametrize(
+        "v", [0, 0b111, 1 << 4], ids=["below m", "above l", "outside [n]"]
+    )
+    def test_node_message_matches_cutset(self, v):
+        lat = TruncatedLattice(4, 1, 2)
+        with pytest.raises(DomainError) as built:
+            Cutset(lat, ((v,),))
+        with pytest.raises(DomainError) as checked:
+            is_cutset(lat, [v])
+        assert str(checked.value) == str(built.value)
 
     def test_missed_chain_is_disjoint_from_input(self):
         lat = TruncatedLattice(5, 1, 3)

@@ -145,6 +145,20 @@ class TestConstruct:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_explicit_method_exits_2_unless_method_counts_has_it(self, capsys, n):
+        # Outside 0 <= m <= l <= n - m method_counts raises, and no method
+        # applies: B_5(3, 3) and B_4(2, 3) are two such lattices.
+        for m in range(n + 1):
+            for l in range(m, n + 1):
+                applies = constructions.method_counts(n, m, l) if l <= n - m else {}
+                for method in constructions.BUILDERS:
+                    code, _, _ = run(
+                        capsys, "construct", "--n", str(n), "--m", str(m),
+                        "--l", str(l), "--method", method,
+                    )
+                    assert code == (0 if method in applies else 2), (m, l, method)
+
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, _ = run(
             capsys, "construct", "--n", "4", "--m", "3", "--l", "2", "--method", "auto"
@@ -180,7 +194,8 @@ class TestConstruct:
     def test_certify_sizes_stay_under_the_default_cap(self, method, n, m, l, verified):
         if method == "auto":
             method = constructions.choose_method(n, m, l)
-        assert cli._construction_size(n, m, l, method) <= cli.DEFAULT_MAX_LATTICE_NODES
+        counts = constructions.method_counts(n, m, l)
+        assert counts[method] * (l - m + 1) <= cli.DEFAULT_MAX_LATTICE_NODES
         if verified:
             assert TruncatedLattice(n, m, l).node_count <= cli.DEFAULT_MAX_LATTICE_NODES
 

@@ -198,20 +198,16 @@ class TestAuto:
         assert cut.chain_count == fourcolor_count(9, 3)
 
     def test_counts_match_builders(self):
-        for n in range(1, 10):
+        # construct sizes its refusal as counts[method] * (l - m + 1) nodes,
+        # which rests on these facts.
+        for n in range(1, 11):
             for m in range(n // 2 + 1):
                 for l in range(m, n - m + 1):
                     for name, count in method_counts(n, m, l).items():
-                        built = {
-                            "level": cutset_level,
-                            "bicolor": cutset_bicolor,
-                            "fourcolor": cutset_fourcolor,
-                        }
-                        if name == "product":
-                            cut = cutset_product(n, m, l)
-                        else:
-                            cut = built[name](n, m)
+                        cut = constructions.BUILDERS[name](n, m, l)
                         assert cut.chain_count == count
+                        assert cut.lat == TruncatedLattice(n, m, l)
+                        assert len(cut.node_masks()) <= count * (l - m + 1)
 
 
 class TestCutsetJson:

@@ -1,7 +1,8 @@
 """Correctness checks in the library must survive ``python -O``.
 
 ``-O`` strips ``assert`` statements, so the library raises explicit
-errors instead; these tests keep it that way.
+errors instead; these tests keep it that way.  One more scan keeps the
+library free of imports that nothing uses, as the project runs no linter.
 """
 
 import ast
@@ -24,6 +25,25 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports only to re-export.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
 

@@ -196,6 +196,9 @@ class TestExactMinWidth:
             exact_min_width(4, 2, 3)  # l > n - m
         with pytest.raises(DomainError):
             exact_min_width(20, 5, 10)  # above the node cap
+        # Refused by the ground-set cap before C(10**7, 10**6) is evaluated.
+        with pytest.raises(DomainError, match="n <= 64"):
+            exact_min_width(10**7, 10**6, 10**6)
 
     def test_node_cap_override(self):
         assert_pinned(exact_min_width, 6, 1, 4, exact_min_width(6, 1, 4, node_cap=100), 5)
