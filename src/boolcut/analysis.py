@@ -13,14 +13,17 @@ it in one greedy pass; ``InclusionMatcher`` keeps the same matching under
 push and pop and serves only the incremental exact search.
 
 Cutset membership uses one backward sweep, top level first, that counts
-for every node the untouched chains from it to the top level: 0 on a
+for each node the untouched chains from it to the top level: 0 on a
 selected node, 1 on an unselected top node, and otherwise the sum over the
-node's covers.  The selection is a cutset exactly when every bottom count
-is 0; otherwise a greedy walk up through nodes with a positive count, from
-the least such bottom node and always to the least such cover,
-reconstructs the lexicographically least missed maximal chain.  The exact
-search keeps the same counts up to date itself and reuses the greedy walk
-(``least_missed_chain``).
+node's covers.  Only two adjacent levels are held at a time, and only
+their nonzero counts, keyed by mask.  The selection is a cutset exactly
+when every bottom count is 0.  Otherwise a count is positive exactly when
+an unselected saturated path leads from the node to the top level, so a
+depth-first walk up from the least bottom node with a positive count,
+through the least cover with such a path at each step and with the dead
+nodes remembered, rebuilds the lexicographically least missed maximal
+chain.  The exact search keeps counts for every node up to date itself and
+walks them greedily (``least_missed_chain``).
 """
 
 from __future__ import annotations
@@ -279,39 +282,60 @@ def least_missed_chain(
     return path
 
 
-class _CoverRows:
-    """The cover rows of one level, each computed when it is looked up.
-
-    ``lv`` and ``nxt`` are the masks of a level and of the next one, both
-    ascending.  Row j lists the positions in ``nxt`` of the covers of the
-    j-th node of ``lv``, found by bisection.  It is ascending, because
-    ``v | bit`` grows with ``bit``, so its first entry is the least cover.
-    ``is_cutset`` looks up only the rows along the path of
-    ``least_missed_chain``; ``cover_lists`` lists them all.
-    """
-
-    def __init__(self, lv: list[int], nxt: list[int], n: int) -> None:
-        self.lv, self.nxt, self.free = lv, nxt, full_mask(n)
-
-    def __getitem__(self, j: int) -> list[int]:
-        v = self.lv[j]
-        row = []
-        b = self.free ^ v
-        while b:
-            low = b & -b
-            row.append(bisect_left(self.nxt, v | low))
-            b ^= low
-        return row
-
-
 def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
-    """Every row of ``_CoverRows``, for every level but the top.
+    """For every level but the top, the positions of each node's covers on the next.
 
     ``levels`` lists the masks of each lattice level in ascending order,
-    bottom first.
+    bottom first.  ``cover_lists(levels, n)[i][j]`` lists the positions on
+    level i + 1 of the covers of the j-th node of level i, found by
+    bisection.  It is ascending, because ``v | bit`` grows with ``bit``, so
+    its first entry is the least cover.
     """
-    levels_rows = (_CoverRows(lv, nxt, n) for lv, nxt in zip(levels, levels[1:]))
-    return [[rows[j] for j in range(len(rows.lv))] for rows in levels_rows]
+    free = full_mask(n)
+    out = []
+    for lv, nxt in zip(levels, levels[1:]):
+        rows = []
+        for v in lv:
+            row = []
+            b = free ^ v
+            while b:
+                low = b & -b
+                row.append(bisect_left(nxt, v | low))
+                b ^= low
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+def _least_live_chain(bottom: int, l: int, n: int, selected) -> list[int]:
+    """The least saturated path from ``bottom`` up to level l that avoids ``selected``.
+
+    ``bottom`` is unselected and has such a path, which a positive
+    unhit-chain count says.  A depth-first walk tries the covers of each
+    node in ascending order, so the first path to reach level l is the
+    lexicographically least; a node found to have no such path is
+    remembered as dead and never entered again, so the walk enters each
+    node of the up-set of ``bottom`` at most once.
+    """
+    free = full_mask(n)
+    dead = set()
+    # One entry per node of the path: the node and its covers not yet tried.
+    stack = [(bottom, free ^ bottom)]
+    length = l - bottom.bit_count() + 1
+    while len(stack) < length:
+        v, untried = stack[-1]
+        if not untried:
+            dead.add(v)
+            stack.pop()
+            if not stack:
+                raise InternalError(f"no unselected path from {bottom:#x} to level {l}")
+            continue
+        low = untried & -untried
+        stack[-1] = v, untried ^ low
+        w = v | low
+        if w not in selected and w not in dead:
+            stack.append((w, free ^ w))
+    return [v for v, _ in stack]
 
 
 def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetReport:
@@ -322,44 +346,45 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
     no, the report carries the lexicographically least maximal chain
     disjoint from the input.
 
-    The counts of the untouched chains from each node to the top level are
-    kept for every level, but the cover rows of none: each level's counts
-    are summed straight off a map from the masks of the level above to
-    their counts, and the least missed chain is rebuilt from the cover rows
-    along its path alone.
+    The sweep holds two adjacent levels at a time.  It goes from the top
+    level down and keeps only the nonzero unhit-chain counts of the level
+    above, keyed by mask; the top level needs no map, as its count is 1 on
+    every unselected node.  A set of bit vectors is used as it is, not
+    copied.
     """
-    n = lat.n
+    n, m, l = lat.n, lat.m, lat.l
     check_node = lat.check_node
-    selected: set[int] = set()
+    copy = not (isinstance(nodes, (set, frozenset)) and all(type(a) is int for a in nodes))
+    selected = set() if copy else nodes
     for a in nodes:
         if isinstance(a, NodeSet):
             if a.n != n:
                 raise DomainError("ground size mismatch with the lattice")
             a = a.bits
         check_node(a)
-        selected.add(a)
-    levels = [level_masks(n, i) for i in lat.levels]
+        if copy:
+            selected.add(a)
     free = full_mask(n)
-    up = [0 if v in selected else 1 for v in levels[-1]]
-    counts = [up]
-    for lv, nxt in zip(levels[-2::-1], levels[:0:-1]):
-        if not any(up):
-            return CutsetReport(True, None)
-        at = dict(zip(nxt, up))
-        up = []
-        for v in lv:
-            total = 0
+    # The count of a node of the level above is get(node, default): on the
+    # top level 1 unless the node is selected, below it the map's value or 0.
+    get, default = dict.fromkeys((v for v in selected if v.bit_count() == l), 0).get, 1
+    for k in range(l - 1, m - 1, -1):
+        counts = {}
+        for v in level_masks(n, k):
             if v not in selected:
+                total = 0
                 b = free ^ v
                 while b:
                     low = b & -b
-                    total += at[v | low]
+                    total += get(v | low, default)
                     b ^= low
-            up.append(total)
-        counts.append(up)
-    if not any(up):
+                if total:
+                    counts[v] = total
+        if not counts:
+            return CutsetReport(True, None)
+        get, default = counts.get, 0
+    bottom = next((v for v in level_masks(n, m) if get(v, default)), None)
+    if bottom is None:
         return CutsetReport(True, None)
-    counts.reverse()
-    covers = [_CoverRows(lv, nxt, n) for lv, nxt in zip(levels, levels[1:])]
-    path = least_missed_chain(levels, covers, counts)
-    return CutsetReport(False, Chain(tuple(NodeSet(lv[j], n) for lv, j in zip(levels, path))))
+    path = _least_live_chain(bottom, l, n, selected)
+    return CutsetReport(False, Chain(tuple(NodeSet(v, n) for v in path)))

@@ -26,8 +26,9 @@ from .errors import DomainError, InternalError
 from .lattice import MAX_GROUND, TruncatedLattice
 from .search import SearchBudget, SearchStatus
 
-# The most nodes construct and verify enumerate unless told otherwise: the
-# is_cutset sweep over the 236,912 nodes of B_18(6, 12) takes about a second.
+# The most nodes construct and verify enumerate unless told otherwise: verify
+# of the product cutset of B_18(6, 12), a lattice of 236,912 nodes, takes
+# about 0.7 s (scripts/verify_memory.py, BENCH_verify.json).
 DEFAULT_MAX_LATTICE_NODES = 250_000
 
 # The most nodes verify matches when the file's chains do not prove the
@@ -126,13 +127,18 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _read_cutset(path: str) -> Cutset:
+    """The cutset in the JSON file at ``path``; the parsed document is freed on return."""
     try:
-        with open(args.input) as f:
+        with open(path) as f:
             data = json.load(f)
     except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read cutset JSON: {exc}") from None
-    cut = Cutset.from_json(data)
+    return Cutset.from_json(data)
+
+
+def cmd_verify(args) -> int:
+    cut = _read_cutset(args.input)
     _refuse_oversize(
         f"the lattice B_{cut.lat.n}({cut.lat.m}, {cut.lat.l}) has",
         cut.lat.node_count,

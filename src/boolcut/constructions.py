@@ -31,6 +31,7 @@ from .formulas import binomial, delta, per_level_bound_value
 from .lattice import (
     NodeSet,
     TruncatedLattice,
+    check_instance,
     level_masks,
     mask_elements,
     mask_from_json,
@@ -199,9 +200,14 @@ def cutset_product(n: int, m: int, l: int) -> Cutset:
 
 
 def method_counts(n: int, m: int, l: int) -> dict[str, int]:
-    """Chain counts of every builder applicable to the (n, m, l) instance."""
+    """Chain counts of every builder applicable to the (n, m, l) instance.
+
+    The ground set is capped, with the lattice's message, before any
+    binomial in n is evaluated: C(10**7, 10**6) alone takes about a minute.
+    """
     if not 0 <= m <= l <= n - m:
         raise DomainError(f"need 0 <= m <= l <= n - m, got n={n} m={m} l={l}")
+    check_instance(n, m, l)
     counts: dict[str, int] = {}
     # The level, bicolor and fourcolor builders attain the short-lattice g.
     short = per_level_bound_value(n, m, l)

@@ -111,6 +111,12 @@ class NodeSet:
         return mask_repr(self.bits)
 
 
+def check_instance(n: int, m: int, l: int) -> None:
+    """Raise unless B_n(m, l) is a lattice: 0 <= m <= l <= n <= MAX_GROUND."""
+    if not 0 <= m <= l <= n <= MAX_GROUND:
+        raise DomainError(f"need 0 <= m <= l <= n <= {MAX_GROUND}, got n={n} m={m} l={l}")
+
+
 @dataclass(frozen=True)
 class TruncatedLattice:
     """The nodes of 2^[n] whose size lies between m and l, inclusive."""
@@ -120,10 +126,7 @@ class TruncatedLattice:
     l: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.m <= self.l <= self.n <= MAX_GROUND:
-            raise DomainError(
-                f"need 0 <= m <= l <= n <= {MAX_GROUND}, got n={self.n} m={self.m} l={self.l}"
-            )
+        check_instance(self.n, self.m, self.l)
 
     def check_node(self, bits: int) -> None:
         """Raise unless ``bits`` is the bit vector of a node of the lattice."""

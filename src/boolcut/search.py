@@ -479,7 +479,6 @@ def _decide(
 
 
 def _run(n, m, l, budget, node_cap, width) -> SearchResult:
-    # The lattice caps n before method_counts evaluates binomials in n.
     lat = TruncatedLattice(n, m, l)
     counts = method_counts(n, m, l)
     if lat.node_count > node_cap:

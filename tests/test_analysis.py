@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from boolcut import (
     InternalError,
     NodeSet,
     TruncatedLattice,
+    cutset_auto,
     cutset_fourcolor,
     cutset_product,
     is_antichain,
@@ -14,7 +18,7 @@ from boolcut import (
     level_nodes,
     width,
 )
-from boolcut import analysis
+from boolcut import analysis, constructions
 from boolcut.lattice import level_masks
 
 from helpers import brute_force_width, maximal_chain_count, naive_is_cutset, iter_maximal_chains
@@ -89,6 +93,54 @@ class TestIsCutset:
             least = min(ch for ch in iter_maximal_chains(n, m, l) if sel.isdisjoint(ch))
             assert [a.bits for a in rep.missed_chain] == list(least)
 
+    @staticmethod
+    def constructed(n):
+        """(lattice, cutset node masks, maximal chains) of every constructed cutset over [n]."""
+        for m in range(n // 2 + 1):
+            for l in range(m, n - m + 1):
+                if constructions.method_counts(n, m, l):
+                    cut = cutset_auto(n, m, l)
+                    yield cut.lat, cut.node_masks(), list(iter_maximal_chains(n, m, l))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cutset_minus_one_or_two_nodes(self, n):
+        # Few chains stay unhit, so from n = 6 on the least bottom node's
+        # least unselected cover is sometimes dead: no unselected path leads
+        # from it to level l, and the walk up has to back off.  Every pair is
+        # removed up to n = 6; at n = 7, the pairs adjacent in mask order.
+        backed_off = 0
+        for lat, nodes, chains in self.constructed(n):
+            assert is_cutset(lat, nodes).is_cutset
+            pool = sorted(nodes)
+            pairs = combinations(pool, 2) if n <= 6 else zip(pool, pool[1:])
+            for removed in [*((v,) for v in pool), *pairs]:
+                sel = nodes - set(removed)
+                rep = is_cutset(lat, sel)
+                unhit = [ch for ch in chains if sel.isdisjoint(ch)]
+                assert rep.is_cutset == (not unhit)
+                if rep.is_cutset:
+                    continue
+                least = min(unhit)
+                assert [a.bits for a in rep.missed_chain] == list(least)
+                least_cover = lambda u: min(
+                    u | 1 << e for e in range(n) if not u >> e & 1 and u | 1 << e not in sel
+                )
+                backed_off += any(least_cover(u) != w for u, w in zip(least, least[1:]))
+        assert backed_off or n < 6
+
+    def test_sweep_holds_two_levels(self):
+        # Holding every level's masks and counts, and a copy of the set,
+        # traced 3.75-4.56 MB on this input; two adjacent levels' nonzero
+        # counts trace about 1.4 MB.
+        cut = cutset_product(16, 4, 8)
+        nodes = cut.node_masks()
+        tracemalloc.start()
+        try:
+            assert is_cutset(cut.lat, nodes).is_cutset
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.56e6 / 2
 
     def test_inconsistent_counts_fail_loudly(self):
         # A positive count with no positive cover cannot come from a sweep;

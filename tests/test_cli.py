@@ -172,6 +172,21 @@ class TestConstruct:
         assert err.startswith("error: the product cutset of B_60(20, 40) has up to ")
         assert "45087888464883495 nodes, above --max-lattice-nodes 250000" in err
 
+    @pytest.mark.parametrize("method", [*constructions.BUILDERS, "auto"])
+    def test_ground_set_is_refused_before_any_binomial(self, capsys, monkeypatch, method):
+        # C(10**7, 10**6) alone takes about a minute, so the cap on n comes first.
+        def refuse(n, *args):
+            raise AssertionError(f"a count in n={n} was computed")
+
+        monkeypatch.setattr(constructions, "per_level_bound_value", refuse)
+        monkeypatch.setattr(constructions, "delta", refuse)
+        code, out, err = run(
+            capsys, "construct", "--n", "10000000", "--m", "1000000", "--l", "1000000",
+            "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need 0 <= m <= l <= n <= 64, got n=10000000 m=1000000 l=1000000\n"
+
     @pytest.mark.parametrize("cap,code", [("5", 2), ("6", 0)])
     def test_size_cap_override(self, capsys, cap, code):
         # The product cutset of B_4(1, 2) has 3 chains over 2 levels.

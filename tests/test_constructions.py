@@ -190,6 +190,16 @@ class TestAuto:
         with pytest.raises(DomainError):
             cutset_auto(13, 4, 7)
 
+    def test_ground_set_is_refused_before_any_binomial(self, monkeypatch):
+        def refuse(n, *args):
+            raise AssertionError(f"a count in n={n} was computed")
+
+        monkeypatch.setattr(constructions, "per_level_bound_value", refuse)
+        monkeypatch.setattr(constructions, "delta", refuse)
+        for pick in (method_counts, choose_method, cutset_auto):
+            with pytest.raises(DomainError, match="need 0 <= m <= l <= n <= 64, got n=10000000"):
+                pick(10**7, 10**6, 10**6)
+
     def test_l_m_plus_2_dispatches_fourcolor(self):
         # Within the standing domain l <= n - m, the four-color condition
         # n >= 2m + 2 holds automatically whenever l = m + 2.
