@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 import threading
 from typing import Optional
 
-from . import analysis, constructions, formulas, search
-from .constructions import Cutset
+from . import defaults
 from .errors import DomainError, InternalError
-from .lattice import MAX_GROUND, TruncatedLattice
-from .search import SearchBudget, SearchStatus
+
+# Each command imports the library modules it runs, and json or csv, so that
+# `--help` and a bad argument load none of them, and `construct` and `verify`
+# no search.
 
 # The most nodes construct and verify enumerate unless told otherwise: verify
 # of the product cutset of B_18(6, 12), a lattice of 236,912 nodes, takes
@@ -50,7 +49,9 @@ _REPORT_HEADER = [
 ]
 
 
-def _budget_from(args) -> SearchBudget:
+def _budget_from(args):
+    from .search import SearchBudget
+
     return SearchBudget(
         max_nodes_expanded=args.max_nodes, wall_clock_limit=args.time_limit
     )
@@ -95,10 +96,14 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
         default=seconds,
         help=f"wall-clock budget per call in seconds (default {seconds})",
     )
-    _add_size_flag(p, search.DEFAULT_NODE_CAP)
+    _add_size_flag(p, defaults.DEFAULT_NODE_CAP)
 
 
 def cmd_construct(args) -> int:
+    import json
+
+    from . import constructions
+
     n, m, l = args.n, args.m, args.l
     counts = constructions.method_counts(n, m, l)
     method = constructions.choose_method(n, m, l) if args.method == "auto" else args.method
@@ -127,8 +132,12 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _read_cutset(path: str) -> Cutset:
+def _read_cutset(path: str):
     """The cutset in the JSON file at ``path``; the parsed document is freed on return."""
+    import json
+
+    from .constructions import Cutset
+
     try:
         with open(path) as f:
             data = json.load(f)
@@ -138,6 +147,10 @@ def _read_cutset(path: str) -> Cutset:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from . import analysis
+
     cut = _read_cutset(args.input)
     _refuse_oversize(
         f"the lattice B_{cut.lat.n}({cut.lat.m}, {cut.lat.l}) has",
@@ -170,14 +183,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    import json
+
+    from . import search
+
     result = search.exact_search(
         args.target, args.n, args.m, args.l, _budget_from(args), node_cap=args.max_lattice_nodes
     )
     print(json.dumps(result.to_json()))
-    return 0 if result.status is SearchStatus.EXACT else 4
+    return 0 if result.status is search.SearchStatus.EXACT else 4
 
 
 def _search_cell(result) -> str:
+    from .search import SearchStatus
+
     if result.status is SearchStatus.EXACT:
         return str(result.value)
     if result.status is SearchStatus.BOUNDS:
@@ -214,6 +233,8 @@ def _search_worker(conn) -> None:
     """
     import signal
     from multiprocessing import parent_process
+
+    from . import search
 
     # The parent owns Ctrl-C and stops its workers.  The worker flushes
     # sys.stdout when it exits, and would print again the CSV rows that the
@@ -323,7 +344,12 @@ def report_rows(n_values, m_values, budget, node_cap):
     as two tasks of ``_search_in_workers``, and their rows still come in
     instance order.  Exact cells must satisfy g <= h <= construction count,
     which holds for every instance; a row breaking it raises InternalError.
+    The modules the searches run are imported here, before any worker is
+    forked, so that a worker imports none.
     """
+    from . import constructions, formulas, search
+    from .lattice import TruncatedLattice
+
     instances = [
         (n, m, l) for n in n_values for m in m_values if m <= n - m for l in range(m, n - m + 1)
     ]
@@ -379,6 +405,8 @@ def report_rows(n_values, m_values, budget, node_cap):
 
 
 def cmd_report(args) -> int:
+    from .lattice import MAX_GROUND
+
     if args.n_min > args.n_max or args.m_min > args.m_max or args.m_min < 0:
         raise DomainError("empty or negative parameter range")
     # Checked before the first row, so a bad range writes no partial CSV.
@@ -395,6 +423,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from . import formulas
+
     records = formulas.check_identities(args.max_n, args.max_m)
     rows = (
         [r.identity, str(r.n), str(r.m), str(r.lhs), str(r.rhs), str(r.ok).lower()]
@@ -412,6 +442,8 @@ def _open_out(path: str, **kwargs):
 
 
 def _write_csv(path: Optional[str], header, rows) -> None:
+    import csv
+
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -437,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument(
         "--method",
-        choices=[*constructions.BUILDERS, "auto"],
+        choices=[*defaults.METHODS, "auto"],
         default="auto",
     )
     p.add_argument("--out", help="write the cutset JSON here (summary goes to stdout)")
@@ -454,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--target", choices=["h", "g"], default="h")
-    default = SearchBudget()
-    _add_budget_flags(p, nodes=default.max_nodes_expanded, seconds=default.wall_clock_limit)
+    _add_budget_flags(p, nodes=defaults.MAX_NODES_EXPANDED, seconds=defaults.WALL_CLOCK_LIMIT)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="conjecture-comparison CSV over a parameter range")

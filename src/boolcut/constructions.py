@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .chains import Chain, bounded_chain_partition, check_chain_masks
+from .defaults import METHODS
 from .errors import DomainError, InternalError
 from .formulas import binomial, delta, per_level_bound_value
 from .lattice import (
@@ -37,15 +38,21 @@ from .lattice import (
     mask_from_json,
 )
 
-# Each builder takes (n, m, l).  The lambdas look the builders up at call
-# time, so a wrapper installed on this module later is the one called.
-BUILDERS = {
-    "level": lambda n, m, l: cutset_level(n, m),
-    "bicolor": lambda n, m, l: cutset_bicolor(n, m),
-    "fourcolor": lambda n, m, l: cutset_fourcolor(n, m),
-    "product": lambda n, m, l: cutset_product(n, m, l),
-}
-_METHOD_ORDER = tuple(BUILDERS)
+# Each builder takes (n, m, l), under its name in ``defaults.METHODS``.  The
+# lambdas look the builders up at call time, so a wrapper installed on this
+# module later is the one called.
+BUILDERS = dict(
+    zip(
+        METHODS,
+        (
+            lambda n, m, l: cutset_level(n, m),
+            lambda n, m, l: cutset_bicolor(n, m),
+            lambda n, m, l: cutset_fourcolor(n, m),
+            lambda n, m, l: cutset_product(n, m, l),
+        ),
+        strict=True,
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,7 @@ def method_counts(n: int, m: int, l: int) -> dict[str, int]:
     # The level, bicolor and fourcolor builders attain the short-lattice g.
     short = per_level_bound_value(n, m, l)
     if short is not None:
-        counts[_METHOD_ORDER[l - m]] = short
+        counts[METHODS[l - m]] = short
     if 2 * m <= l:
         counts["product"] = delta(n, m)
     return counts
@@ -228,7 +235,7 @@ def choose_method(n: int, m: int, l: int) -> str:
     counts = method_counts(n, m, l)
     if not counts:
         raise DomainError(f"no construction known for n={n} m={m} l={l}")
-    return min(counts, key=lambda name: (counts[name], -_METHOD_ORDER.index(name)))
+    return min(counts, key=lambda name: (counts[name], -METHODS.index(name)))
 
 
 def cutset_auto(n: int, m: int, l: int) -> Cutset:

@@ -12,7 +12,9 @@ outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import lt
 
 from .errors import DomainError
 
@@ -54,13 +56,22 @@ def _mask_from_elements(elements, n: int) -> int:
     return bits
 
 
+_one_shifted = (1).__lshift__  # _one_shifted(e) == 1 << e
+
+
 def mask_from_json(data, n: int) -> int:
     """The bit vector of a node's JSON form: an ascending list of 1-based elements of [n]."""
     if not isinstance(data, list) or not all(type(e) is int for e in data):
         raise DomainError(f"node must be a list of integers, got {data!r}")
-    if any(a >= b for a, b in zip(data, data[1:])):
+    if not all(map(lt, data, data[1:])):
         raise DomainError(f"node elements must be ascending without repeats, got {data!r}")
-    return _mask_from_elements(data, n)
+    # The list ascends, so its first element outside [n] is its first if that
+    # is below 1, else its first above n; and the sum of its distinct
+    # elements' bits is its bit vector.
+    if data and (data[0] < 1 or data[-1] > n):
+        e = data[0] if data[0] < 1 else data[bisect_right(data, n)]
+        raise DomainError(f"element {e} outside [{n}]")
+    return sum(map(_one_shifted, data)) >> 1
 
 
 @dataclass(frozen=True, repr=False)

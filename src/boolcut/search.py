@@ -48,10 +48,9 @@ from typing import Optional
 from . import analysis, formulas
 from .analysis import InclusionMatcher, cover_lists, least_missed_chain
 from .constructions import Cutset, method_counts
+from .defaults import DEFAULT_NODE_CAP, MAX_NODES_EXPANDED, WALL_CLOCK_LIMIT
 from .errors import DomainError, InternalError
 from .lattice import TruncatedLattice, level_masks
-
-DEFAULT_NODE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,8 @@ class SearchBudget:
     interruption deterministic; wall-clock limits are a safety net.
     """
 
-    max_nodes_expanded: int = 2_000_000
-    wall_clock_limit: float = 120.0
+    max_nodes_expanded: int = MAX_NODES_EXPANDED
+    wall_clock_limit: float = WALL_CLOCK_LIMIT
 
     def __post_init__(self) -> None:
         nodes, seconds = self.max_nodes_expanded, self.wall_clock_limit

@@ -718,7 +718,26 @@ def _python_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def test_importing_the_cli_imports_no_process_pool():
+# Runs `cli.main(sys.argv[1:])` and prints, as its last line, its exit code,
+# the boolcut modules loaded and whether dataclasses and multiprocessing are.
+_MAIN_THEN_MODULES = """
+import json, sys
+from boolcut import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "boolcut")
+print(json.dumps([code, loaded, "dataclasses" in sys.modules, "multiprocessing" in sys.modules]))
+"""
+
+_CLI_ONLY = ["boolcut", "boolcut.cli", "boolcut.defaults", "boolcut.errors"]
+_CONSTRUCT = sorted(
+    [*_CLI_ONLY, "boolcut.chains", "boolcut.constructions", "boolcut.formulas", "boolcut.lattice"]
+)
+
+
+def test_importing_the_cli_imports_no_process_pool(tmp_path):
     # construct, verify and search never start workers, so they must not pay
     # for the multiprocessing modules at start-up.
     out = subprocess.run(
@@ -729,6 +748,92 @@ def test_importing_the_cli_imports_no_process_pool():
         check=True,
     )
     assert out.stdout == "False\n"
+    # Each command loads the library modules it runs and no others: the help
+    # and a bad argument none, construct no analysis and verify no search.
+    cutset = str(tmp_path / "cutset.json")
+    for argv, code, modules, dataclasses_loaded in [
+        (["--help"], 0, _CLI_ONLY, False),
+        (["search", "--help"], 0, _CLI_ONLY, False),
+        (["search", "--n", "six"], 2, _CLI_ONLY, False),
+        (["construct", "--n", "6", "--m", "1", "--l", "3", "--out", cutset], 0, _CONSTRUCT, True),
+        (["verify", cutset], 0, sorted([*_CONSTRUCT, "boolcut.analysis"]), True),
+    ]:
+        out = subprocess.run(
+            [sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
+            env=_python_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        last = json.loads(out.stdout.splitlines()[-1])
+        assert last == [code, modules, dataclasses_loaded, False], argv
+
+
+_PUBLIC_NAMES = [
+    "Chain", "ChainPartition", "ConjectureReport", "Cutset", "CutsetReport", "DomainError",
+    "IdentityCheck", "InternalError", "NodeSet", "SearchBudget", "SearchResult", "SearchStatus",
+    "TruncatedLattice", "WidthReport", "analysis", "binomial", "bounded_chain_partition",
+    "chains", "check_identities", "check_index_monotonicity", "choose_method",
+    "conjecture_report", "conjectured_min_width", "constructions", "cutset_auto",
+    "cutset_bicolor", "cutset_fourcolor", "cutset_level", "cutset_product", "delta", "errors",
+    "exact_min_per_level", "exact_min_width", "formulas", "is_antichain", "is_cutset",
+    "lattice", "level_masks", "level_nodes", "method_counts", "per_level_bound_value",
+    "search", "start_level_counts", "symmetric_per_level_bound", "width",
+]
+
+_NAMESPACE = """
+import importlib, json, sys, types
+
+def fresh():
+    for name in [name for name in sys.modules if name.partition(".")[0] == "boolcut"]:
+        del sys.modules[name]
+    return importlib.import_module("boolcut")
+
+boolcut = fresh()
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "boolcut")
+public = sorted(name for name in dir(boolcut) if not name.startswith("_"))
+# Each name is resolved first thing in a package of its own, since resolving
+# one name imports modules that later ones might otherwise rely on.
+modules = [name for name in public if isinstance(getattr(fresh(), name), types.ModuleType)]
+boolcut = fresh()
+star = {}
+exec("from boolcut import *", star)
+del star["__builtins__"]
+try:
+    boolcut.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "loaded": loaded,
+    "dir": public,
+    "star": sorted(star),
+    "modules": modules,
+    "version": boolcut.__version__,
+    "unknown": unknown,
+}))
+"""
+
+
+def test_the_package_namespace_is_kept():
+    # `import boolcut` loads none of its modules: each public name, a module
+    # among them, resolves on first use.  These are the names the package
+    # bound when it still imported every module at once.
+    out = subprocess.run(
+        [sys.executable, "-c", _NAMESPACE],
+        env=_python_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout) == {
+        "loaded": ["boolcut"],
+        "dir": _PUBLIC_NAMES,
+        "star": _PUBLIC_NAMES,
+        "modules": ["analysis", "chains", "constructions", "errors", "formulas", "lattice", "search"],
+        "version": "0.1.0",
+        "unknown": "module 'boolcut' has no attribute 'no_such_name'",
+    }
 
 
 _AUDITED_REPORT = """

@@ -29,6 +29,9 @@ The verify digests hold the exit code and output of ``boolcut verify``,
 recorded before verify read the width off the file's own chains; they must
 never change.
 
+The help texts were recorded while the parser still read its defaults
+from ``search`` and ``constructions``; they must never change.
+
 The construct digests hold the exit code, the bytes of the ``--out`` file
 and the summary of ``boolcut construct``, and the rejections the exact
 stderr of ``boolcut verify`` on malformed cutset files, both recorded while
@@ -181,6 +184,103 @@ REJECTIONS = {
     ),
 }
 
+# The help of the parser and of each command, 80 columns wide.
+HELP_TEXTS = {
+    "boolcut --help": """\
+usage: boolcut [-h] {construct,verify,search,report,identities} ...
+
+Cutsets of truncated Boolean lattices: build, verify, search, report.
+
+positional arguments:
+  {construct,verify,search,report,identities}
+    construct           build a cutset and emit it as JSON
+    verify              check a cutset JSON file and measure its width
+    search              exact minimum width (h) or per-level bound (g)
+    report              conjecture-comparison CSV over a parameter range
+    identities          binomial identity check table as CSV
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "boolcut construct --help": """\
+usage: boolcut construct [-h] --n N --m M --l L
+                         [--method {level,bicolor,fourcolor,product,auto}]
+                         [--out OUT] [--max-lattice-nodes MAX_LATTICE_NODES]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --m M
+  --l L
+  --method {level,bicolor,fourcolor,product,auto}
+  --out OUT             write the cutset JSON here (summary goes to stdout)
+  --max-lattice-nodes MAX_LATTICE_NODES
+                        the most nodes this command will enumerate (default
+                        250000)
+""",
+    "boolcut verify --help": """\
+usage: boolcut verify [-h] [--max-lattice-nodes MAX_LATTICE_NODES] input
+
+positional arguments:
+  input                 path to a cutset JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --max-lattice-nodes MAX_LATTICE_NODES
+                        the most nodes this command will enumerate (default
+                        250000)
+""",
+    "boolcut search --help": """\
+usage: boolcut search [-h] --n N --m M --l L [--target {h,g}]
+                      [--max-nodes MAX_NODES] [--time-limit TIME_LIMIT]
+                      [--max-lattice-nodes MAX_LATTICE_NODES]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --m M
+  --l L
+  --target {h,g}
+  --max-nodes MAX_NODES
+                        search node budget per call (default 2000000)
+  --time-limit TIME_LIMIT
+                        wall-clock budget per call in seconds (default 120.0)
+  --max-lattice-nodes MAX_LATTICE_NODES
+                        the most nodes this command will enumerate (default
+                        64)
+""",
+    "boolcut report --help": """\
+usage: boolcut report [-h] --n-min N_MIN --n-max N_MAX [--m-min M_MIN]
+                      [--m-max M_MAX] [--out OUT] [--max-nodes MAX_NODES]
+                      [--time-limit TIME_LIMIT]
+                      [--max-lattice-nodes MAX_LATTICE_NODES]
+
+options:
+  -h, --help            show this help message and exit
+  --n-min N_MIN
+  --n-max N_MAX
+  --m-min M_MIN
+  --m-max M_MAX
+  --out OUT             CSV path (default stdout)
+  --max-nodes MAX_NODES
+                        search node budget per call (default 50000)
+  --time-limit TIME_LIMIT
+                        wall-clock budget per call in seconds (default 10.0)
+  --max-lattice-nodes MAX_LATTICE_NODES
+                        the most nodes this command will enumerate (default
+                        64)
+""",
+    "boolcut identities --help": """\
+usage: boolcut identities [-h] [--max-n MAX_N] [--max-m MAX_M] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --max-n MAX_N
+  --max-m MAX_M
+  --out OUT      CSV path (default stdout)
+""",
+}
+
 # One digest per k over bounded_chain_partition(k, c) for c = 1..k+1.
 PARTITION_DIGESTS = {
     0: "de3132b0660d0664c7c64bf3062ed48af77370bab34b0bd5067b183c6d0395b2",
@@ -309,6 +409,15 @@ def test_malformed_cutset_is_rejected_with_the_same_message(name, tmp_path, caps
     code = main(["verify", str(path)])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS))
+def test_help_is_byte_identical(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split()[1:])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == (0, HELP_TEXTS[command], "")
 
 
 @pytest.mark.parametrize("k", range(13))
