@@ -19,9 +19,11 @@ or worker).  The last line is the same table as one JSON object.
 
 On Linux a child's `ru_maxrss` is at least its parent's RSS when it was
 started, so this process imports nothing from boolcut and stays below
-every command it starts.  Run from the root of a checkout; `--src` picks
-the source tree whose `boolcut` is measured (default: `src` next to this
-script's directory), so the same script measures two versions:
+every command it starts; it takes `run` from `verify_memory.py` next to
+it, which imports nothing from boolcut either.  Run from the root of a
+checkout; `--src` picks the source tree whose `boolcut` is measured
+(default: `src` next to this script's directory), so the same script
+measures two versions:
 
     python3 scripts/startup_time.py
     python3 scripts/startup_time.py --src ../other-checkout/src
@@ -31,22 +33,13 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
+
+from verify_memory import run
 
 # Rounds of the five commands; the table gives their medians.
 REPEAT = 11
-
-
-def run(argv, env):
-    """(exit code, peak RSS in MB, seconds) of one child process."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - t0
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024, seconds
 
 
 def main() -> None:

@@ -12,23 +12,22 @@ at once, each node's proper subsets found by submask lookup, and matches
 it in one greedy pass; ``InclusionMatcher`` keeps the same matching under
 push and pop and serves only the incremental exact search.
 
-Cutset membership uses one backward sweep, top level first, that counts
-for each node the untouched chains from it to the top level: 0 on a
-selected node, 1 on an unselected top node, and otherwise the sum over the
-node's covers.  Only two adjacent levels are held at a time, and only
-their nonzero counts, keyed by mask.  The selection is a cutset exactly
-when every bottom count is 0.  Otherwise a count is positive exactly when
-an unselected saturated path leads from the node to the top level, so a
-depth-first walk up from the least bottom node with a positive count,
-through the least cover with such a path at each step and with the dead
-nodes remembered, rebuilds the lexicographically least missed maximal
-chain.  The exact search keeps counts for every node up to date itself and
-walks them greedily (``least_missed_chain``).
+Cutset membership uses one backward sweep, top level first, that finds
+the live nodes: the unselected nodes from which an unselected saturated
+path leads to the top level.  An unselected top node is live, and an
+unselected node below it is live when one of its covers is, so each node's
+covers are tried only up to the first live one.  Only two adjacent levels
+are held at a time, the live nodes of the level above as the keys of a
+dict.  The selection is a cutset exactly when no bottom node is live.
+Otherwise a depth-first walk up from the least live bottom node, through
+the least live cover at each step and with the dead nodes remembered,
+rebuilds the lexicographically least missed maximal chain.  How many
+chains pass through a node matters only to the exact search's
+chain-counting bound, so those counts are kept in ``search``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -243,76 +242,29 @@ def is_antichain(nodes: Iterable[NodeSet]) -> bool:
     return not any(_proper_subsets(masks))
 
 
-def chain_certificate(chain_masks: Sequence[Sequence[int]]) -> Optional[int]:
+def chain_certificate(chain_masks: Sequence[Sequence[int]], node_count: int) -> Optional[int]:
     """The width of the chains' union when the chains prove it, else None.
 
-    Each chain is given by the bit vectors of its nodes, bottom first.
-    Weak duality: k disjoint chains cover the union, and an antichain meets
-    each chain at most once, so the width is at most k; k pairwise
-    incomparable bottoms are an antichain, so the width is at least k.
+    Each chain is given by the bit vectors of its nodes, bottom first, and
+    ``node_count`` is the number of distinct nodes among them, so the chains
+    are disjoint exactly when their lengths sum to it.  Weak duality: k
+    disjoint chains cover the union, and an antichain meets each chain at
+    most once, so the width is at most k; k pairwise incomparable bottoms
+    are an antichain, so the width is at least k.
     """
-    distinct = {v for ch in chain_masks for v in ch}
-    if sum(map(len, chain_masks)) != len(distinct) or any(
+    if sum(map(len, chain_masks)) != node_count or any(
         _proper_subsets(sorted(ch[0] for ch in chain_masks))
     ):
         return None
     return len(chain_masks)
 
 
-def least_missed_chain(
-    levels: list[list[int]], covers: list[list[list[int]]], counts: list[list[int]]
-) -> list[int]:
-    """Positions, bottom to top, of the least chain through positive counts.
-
-    ``counts[i][j]`` is the number of untouched chains from the j-th node of
-    level i to the top level, and at least one bottom count is positive.  The
-    walk starts at the least bottom node with a positive count and always
-    steps to the least cover with one; as ``levels`` and every cover list are
-    ascending, this is the lexicographically least untouched maximal chain.
-    """
-    j = next(j for j, c in enumerate(counts[0]) if c)
-    path = [j]
-    for lv, cov, cnt in zip(levels, covers, counts[1:]):
-        for j in cov[j]:
-            if cnt[j]:
-                break
-        else:
-            raise InternalError(f"missed-chain reconstruction stuck above {lv[path[-1]]:#x}")
-        path.append(j)
-    return path
-
-
-def cover_lists(levels: list[list[int]], n: int) -> list[list[list[int]]]:
-    """For every level but the top, the positions of each node's covers on the next.
-
-    ``levels`` lists the masks of each lattice level in ascending order,
-    bottom first.  ``cover_lists(levels, n)[i][j]`` lists the positions on
-    level i + 1 of the covers of the j-th node of level i, found by
-    bisection.  It is ascending, because ``v | bit`` grows with ``bit``, so
-    its first entry is the least cover.
-    """
-    free = full_mask(n)
-    out = []
-    for lv, nxt in zip(levels, levels[1:]):
-        rows = []
-        for v in lv:
-            row = []
-            b = free ^ v
-            while b:
-                low = b & -b
-                row.append(bisect_left(nxt, v | low))
-                b ^= low
-            rows.append(row)
-        out.append(rows)
-    return out
-
-
 def _least_live_chain(bottom: int, l: int, n: int, selected) -> list[int]:
     """The least saturated path from ``bottom`` up to level l that avoids ``selected``.
 
-    ``bottom`` is unselected and has such a path, which a positive
-    unhit-chain count says.  A depth-first walk tries the covers of each
-    node in ascending order, so the first path to reach level l is the
+    ``bottom`` is unselected and has such a path: the sweep of ``is_cutset``
+    found it live.  A depth-first walk tries the covers of each node in
+    ascending order, so the first path to reach level l is the
     lexicographically least; a node found to have no such path is
     remembered as dead and never entered again, so the walk enters each
     node of the up-set of ``bottom`` at most once.
@@ -347,9 +299,9 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
     disjoint from the input.
 
     The sweep holds two adjacent levels at a time.  It goes from the top
-    level down and keeps only the nonzero unhit-chain counts of the level
-    above, keyed by mask; the top level needs no map, as its count is 1 on
-    every unselected node.  A set of bit vectors is used as it is, not
+    level down and keeps the live nodes of the level above as the keys of a
+    dict; on the top level itself a node is live when it is not selected,
+    which is tested inline.  A set of bit vectors is used as it is, not
     copied.
     """
     n, m, l = lat.n, lat.m, lat.l
@@ -365,25 +317,23 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
         if copy:
             selected.add(a)
     free = full_mask(n)
-    # The count of a node of the level above is get(node, default): on the
-    # top level 1 unless the node is selected, below it the map's value or 0.
-    get, default = dict.fromkeys((v for v in selected if v.bit_count() == l), 0).get, 1
+    live: dict[int, None] = {}
     for k in range(l - 1, m - 1, -1):
-        counts = {}
+        top, above, live = k + 1 == l, live, {}
         for v in level_masks(n, k):
             if v not in selected:
-                total = 0
                 b = free ^ v
                 while b:
                     low = b & -b
-                    total += get(v | low, default)
+                    if (v | low not in selected) if top else (v | low in above):
+                        live[v] = None
+                        break
                     b ^= low
-                if total:
-                    counts[v] = total
-        if not counts:
+        if not live:
             return CutsetReport(True, None)
-        get, default = counts.get, 0
-    bottom = next((v for v in level_masks(n, m) if get(v, default)), None)
+    if m == l:  # no level was swept: the unselected top nodes are live
+        live = dict.fromkeys(v for v in level_masks(n, l) if v not in selected)
+    bottom = next(iter(live), None)
     if bottom is None:
         return CutsetReport(True, None)
     path = _least_live_chain(bottom, l, n, selected)

@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     # The maximum antichain and the least chain cover have the width's size
     # (Dilworth; ``width`` checks its certificates), so the file's chains,
     # when they prove the width, stand in for the matching.
-    w = analysis.chain_certificate(cut.chain_masks)
+    w = analysis.chain_certificate(cut.chain_masks, len(nodes))
     if w is None and len(nodes) > MAX_MATCHED_NODES:
         raise DomainError(
             f"the chains do not prove the width, and matching the cutset's "

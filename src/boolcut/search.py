@@ -12,7 +12,7 @@ objective is at most the target.  ``_decide`` solves that decision
 subproblem with one depth-first search from the empty selection, which
 branches on the lexicographically least maximal chain missed by the
 current selection, the greedy walk over its unhit-chain counts
-(``analysis.least_missed_chain``): any cutset must contain one of its
+(``_least_missed_chain``): any cutset must contain one of its
 nodes, so trying each node (in ascending numeric order) is exhaustive.
 Each pruning rule is argued once, in the docstring of the function that
 applies it:
@@ -23,7 +23,8 @@ applies it:
   kept;
 * ``_short_of_chains``: the chain-counting bound;
 * ``_addable``: the width cut of h, from a maximum antichain;
-* ``_ChainCounts``: the incremental unhit-chain counts the bound reads.
+* ``_ChainCounts``: the incremental unhit-chain counts the bound and the
+  walk read, over the cover rows of ``_cover_rows``.
 
 Each result counts its prunes by reason: ``objective``, ``chain_bound``
 and ``excluded``.
@@ -37,6 +38,7 @@ deterministic, so returned values and witnesses are reproducible.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -46,11 +48,11 @@ from operator import mul
 from typing import Optional
 
 from . import analysis, formulas
-from .analysis import InclusionMatcher, cover_lists, least_missed_chain
+from .analysis import InclusionMatcher
 from .constructions import Cutset, method_counts
 from .defaults import DEFAULT_NODE_CAP, MAX_NODES_EXPANDED, WALL_CLOCK_LIMIT
 from .errors import DomainError, InternalError
-from .lattice import TruncatedLattice, level_masks
+from .lattice import TruncatedLattice, full_mask, level_masks
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,57 @@ def _short_of_chains(up, down, room, allowed) -> bool:
     return reach < total
 
 
-def _lower_covers(levels, covers):
-    """Positions of each node's lower covers in the level below, for every level but the bottom."""
-    below = [[[] for _ in lv] for lv in levels[1:]]
-    for rows, cov in zip(below, covers):
-        for j, cs in enumerate(cov):
-            for c in cs:
-                rows[c].append(j)
-    return below
+def _cover_rows(levels, n):
+    """The positions of each node's upper covers and of its lower covers.
+
+    ``levels`` lists the masks of each lattice level in ascending order,
+    bottom first.  Returns ``(covers, below)``: ``covers[i][j]`` lists the
+    positions on level i + 1 of the covers of the j-th node of level i, for
+    every level but the top, found by bisection, and ``below[i][c]`` the
+    positions on level i of the lower covers of the c-th node of level
+    i + 1.  Both are ascending: ``v | bit`` grows with ``bit``, so a cover
+    row starts with the least cover, and the lower rows are filled in the
+    order of level i.
+    """
+    free = full_mask(n)
+    covers, below = [], []
+    for lv, nxt in zip(levels, levels[1:]):
+        rows = []
+        lower = [[] for _ in nxt]
+        for j, v in enumerate(lv):
+            row = []
+            b = free ^ v
+            while b:
+                low = b & -b
+                c = bisect_left(nxt, v | low)
+                row.append(c)
+                lower[c].append(j)
+                b ^= low
+            rows.append(row)
+        covers.append(rows)
+        below.append(lower)
+    return covers, below
+
+
+def _least_missed_chain(levels, covers, counts) -> list[int]:
+    """Positions, bottom to top, of the least chain through positive counts.
+
+    ``counts[i][j]`` is the number of unhit chains from the j-th node of
+    level i to the top level, and at least one bottom count is positive.  The
+    walk starts at the least bottom node with a positive count and always
+    steps to the least cover with one; as ``levels`` and every cover row are
+    ascending, this is the lexicographically least unhit maximal chain.
+    """
+    j = next(j for j, c in enumerate(counts[0]) if c)
+    path = [j]
+    for lv, cov, cnt in zip(levels, covers, counts[1:]):
+        for j in cov[j]:
+            if cnt[j]:
+                break
+        else:
+            raise InternalError(f"missed-chain reconstruction stuck above {lv[path[-1]]:#x}")
+        path.append(j)
+    return path
 
 
 def _remove_paths(trail, rows, steps, j, gain) -> None:
@@ -431,7 +476,7 @@ def _decide(
         if _short_of_chains(up, down, room, allowed):
             prunes["chain_bound"] += 1
             return False
-        path = least_missed_chain(levels, covers, up)
+        path = _least_missed_chain(levels, covers, up)
         generators = None
         # path[i] lies on level m + i.
         for i, j in enumerate(path):
@@ -486,8 +531,7 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
             "raise the cap to search anyway"
         )
     levels = [level_masks(n, i) for i in range(m, l + 1)]
-    covers = cover_lists(levels, n)
-    below = _lower_covers(levels, covers)
+    covers, below = _cover_rows(levels, n)
     comparable = _comparable(levels) if width else None
     flat = [v for lv in levels for v in lv]
     bit_of = {v: 1 << 8 * b for b, v in enumerate(flat)}

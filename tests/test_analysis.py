@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from boolcut import (
     Cutset,
     DomainError,
-    InternalError,
     NodeSet,
     TruncatedLattice,
     cutset_auto,
@@ -128,6 +127,24 @@ class TestIsCutset:
                 backed_off += any(least_cover(u) != w for u, w in zip(least, least[1:]))
         assert backed_off or n < 6
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_full_level_minus_one_node(self, n):
+        # Builder cutsets start at level m; a full level k stops the sweep
+        # just below level k, so over every (m, l) it exits at every height.
+        for m in range(n + 1):
+            for l in range(m, n + 1):
+                lat = TruncatedLattice(n, m, l)
+                chains = list(iter_maximal_chains(n, m, l))
+                for k in range(m, l + 1):
+                    full = set(level_masks(n, k))
+                    assert is_cutset(lat, full).is_cutset
+                    for v in sorted(full):
+                        sel = full - {v}
+                        rep = is_cutset(lat, sel)
+                        assert not rep.is_cutset
+                        least = min(ch for ch in chains if sel.isdisjoint(ch))
+                        assert [a.bits for a in rep.missed_chain] == list(least)
+
     def test_sweep_holds_two_levels(self):
         # Holding every level's masks and counts, and a copy of the set,
         # traced 3.75-4.56 MB on this input; two adjacent levels' nonzero
@@ -141,14 +158,6 @@ class TestIsCutset:
         finally:
             tracemalloc.stop()
         assert peak <= 4.56e6 / 2
-
-    def test_inconsistent_counts_fail_loudly(self):
-        # A positive count with no positive cover cannot come from a sweep;
-        # the walk raises instead of returning a chain that is not missed.
-        levels = [level_masks(3, 1), level_masks(3, 2)]
-        covers = analysis.cover_lists(levels, 3)
-        with pytest.raises(InternalError, match="stuck above 0x1"):
-            analysis.least_missed_chain(levels, covers, [[1, 0, 0], [0, 0, 0]])
 
 
 class TestNaiveEnumerationItself:

@@ -329,7 +329,7 @@ class TestChainBound:
     @staticmethod
     def prunes(n, m, l, selected, lowest, k, allowed=None):
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers = analysis.cover_lists(levels, n)
+        covers = search._cover_rows(levels, n)[0]
         found = missed_chain_masks(levels, covers, selected)
         counts = Counter(v.bit_count() for v in selected)
         room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
@@ -388,7 +388,7 @@ class TestChainBound:
         l = data.draw(st.integers(m, n - m))
         lowest = data.draw(st.integers(m, l))
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers = analysis.cover_lists(levels, n)
+        covers = search._cover_rows(levels, n)[0]
         pool = [v for lv in levels for v in lv]
         selected = []
         for _ in range(data.draw(st.integers(0, 10))):
@@ -697,8 +697,8 @@ class TestChainCounts:
         m = data.draw(st.integers(0, n // 2))
         l = data.draw(st.integers(m, n - m))
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers = analysis.cover_lists(levels, n)
-        state = search._ChainCounts(n, levels, covers, search._lower_covers(levels, covers))
+        covers, below = search._cover_rows(levels, n)
+        state = search._ChainCounts(n, levels, covers, below)
 
         def snapshot():
             return [row[:] for row in state.up], [row[:] for row in state.down]
@@ -730,6 +730,15 @@ class TestChainCounts:
             check(set(stack))
         assert snapshot() == initial
         assert state.trail == [] and state.marks == []
+
+    def test_inconsistent_counts_fail_loudly(self):
+        # A positive count with no positive cover cannot come from
+        # _ChainCounts; the walk raises instead of returning a chain that is
+        # not missed.
+        levels = [level_masks(3, 1), level_masks(3, 2)]
+        covers = search._cover_rows(levels, 3)[0]
+        with pytest.raises(InternalError, match="stuck above 0x1"):
+            search._least_missed_chain(levels, covers, [[1, 0, 0], [0, 0, 0]])
 
 
 class TestReverification:
