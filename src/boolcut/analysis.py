@@ -28,16 +28,15 @@ chain-counting bound, so those counts are kept in ``search``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chains import Chain, augment, greedy_match
 from .errors import DomainError, InternalError
 from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
+from .records import Record
 
 
-@dataclass(frozen=True)
-class WidthReport:
+class WidthReport(Record):
     """Width of a node family with both Dilworth certificates attached."""
 
     width: int
@@ -52,8 +51,7 @@ class WidthReport:
         }
 
 
-@dataclass(frozen=True)
-class CutsetReport:
+class CutsetReport(Record):
     is_cutset: bool
     missed_chain: Optional[Chain]
 

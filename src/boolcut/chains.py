@@ -26,11 +26,11 @@ and the monotonicity property are exercised directly in the test suite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .lattice import MAX_GROUND, NodeSet, check_mask, level_masks, mask_elements, mask_repr
+from .records import Record, set_field
 
 
 def check_chain_masks(masks: Sequence[int]) -> None:
@@ -44,8 +44,7 @@ def check_chain_masks(masks: Sequence[int]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A saturated ascending run of subsets: each node adds one element."""
 
     nodes: tuple[NodeSet, ...]
@@ -81,8 +80,7 @@ class Chain:
         return [node.to_json() for node in self.nodes]
 
 
-@dataclass(frozen=True, init=False)
-class ChainPartition:
+class ChainPartition(Record):
     """Disjoint chains over the ground set [k], each of size at most c.
 
     Each chain is kept as a tuple of bit vectors; ``chains`` builds
@@ -122,9 +120,9 @@ class ChainPartition:
                 if v in seen:
                     raise DomainError(f"node {mask_repr(v)} appears in two chains")
                 seen.add(v)
-        object.__setattr__(self, "chain_masks", chain_masks)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "c", c)
+        set_field(self, "chain_masks", chain_masks)
+        set_field(self, "k", k)
+        set_field(self, "c", c)
 
     @property
     def chains(self) -> tuple[Chain, ...]:

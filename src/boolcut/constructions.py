@@ -22,7 +22,6 @@ for m + 2 < l < 2m.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .chains import Chain, bounded_chain_partition, check_chain_masks
@@ -37,6 +36,7 @@ from .lattice import (
     mask_elements,
     mask_from_json,
 )
+from .records import Record
 
 # Each builder takes (n, m, l), under its name in ``defaults.METHODS``.  The
 # lambdas look the builders up at call time, so a wrapper installed on this
@@ -55,8 +55,7 @@ BUILDERS = dict(
 )
 
 
-@dataclass(frozen=True)
-class Cutset:
+class Cutset(Record):
     """A chain family inside a truncated lattice, claimed to be a cutset.
 
     Each chain is a tuple of bit vectors, bottom first, and must be

@@ -12,10 +12,10 @@ delta(n, k) = C(n, k) - C(n, k - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
+from .records import Record
 
 
 def binomial(n: int, k: int) -> int:
@@ -81,8 +81,7 @@ def symmetric_per_level_bound(n: int, m: int) -> int:
     return binomial(n - 1, m) - binomial(n - 1, m - 1)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     identity: str
     n: int
     m: int

@@ -13,10 +13,10 @@ outputs are reproducible byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import lt
 
 from .errors import DomainError
+from .records import Record, set_field
 
 MAX_GROUND = 64
 
@@ -74,8 +74,7 @@ def mask_from_json(data, n: int) -> int:
     return sum(map(_one_shifted, data)) >> 1
 
 
-@dataclass(frozen=True, repr=False)
-class NodeSet:
+class NodeSet(Record):
     """A subset of [n] = {1, ..., n}, encoded as a bit vector.
 
     ``bits`` has bit i - 1 set exactly when element i belongs to the set.
@@ -84,10 +83,13 @@ class NodeSet:
     bits: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GROUND:
-            raise DomainError(f"ground size {self.n} outside 0..{MAX_GROUND}")
-        check_mask(self.bits, self.n)
+    def __init__(self, bits: int, n: int) -> None:
+        # Without the generic argument handling: one is built per node.
+        if not 0 <= n <= MAX_GROUND:
+            raise DomainError(f"ground size {n} outside 0..{MAX_GROUND}")
+        check_mask(bits, n)
+        set_field(self, "bits", bits)
+        set_field(self, "n", n)
 
     @property
     def level(self) -> int:
@@ -128,8 +130,7 @@ def check_instance(n: int, m: int, l: int) -> None:
         raise DomainError(f"need 0 <= m <= l <= n <= {MAX_GROUND}, got n={n} m={m} l={l}")
 
 
-@dataclass(frozen=True)
-class TruncatedLattice:
+class TruncatedLattice(Record):
     """The nodes of 2^[n] whose size lies between m and l, inclusive."""
 
     n: int

@@ -40,7 +40,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, compress
 from math import perm
@@ -53,10 +52,10 @@ from .constructions import Cutset, method_counts
 from .defaults import DEFAULT_NODE_CAP, MAX_NODES_EXPANDED, WALL_CLOCK_LIMIT
 from .errors import DomainError, InternalError
 from .lattice import TruncatedLattice, full_mask, level_masks
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Resource limits for one exact search call.
 
     Both must be positive: ``max_nodes_expanded`` an int (not a bool) and
@@ -80,8 +79,7 @@ class SearchStatus(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of an exact search: a value with witness, or bounds.
 
     EXACT implies lower == value == upper and a witness that has been
@@ -617,8 +615,7 @@ def exact_search(
     return run(n, m, l, budget, node_cap=node_cap)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """Side-by-side values for one instance; draws no conclusions.
 
     ``equal_flags`` entries are None whenever a comparison is undecidable

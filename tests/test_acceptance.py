@@ -27,8 +27,8 @@ from boolcut import (
     start_level_counts,
     width,
 )
-from boolcut.cli import _REPORT_HEADER, report_rows
 from boolcut.lattice import NodeSet
+from boolcut.report import _REPORT_HEADER, report_rows
 
 from helpers import brute_force_width, naive_is_cutset, pascal
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -17,15 +16,18 @@ import boolcut.lattice
 from boolcut import (
     InternalError,
     SearchBudget,
+    SearchResult,
     TruncatedLattice,
+    WidthReport,
     analysis,
     cli,
     constructions,
     formulas,
     search,
 )
-from boolcut.cli import main, report_rows
+from boolcut.cli import main
 from boolcut.constructions import Cutset
+from boolcut.report import report_rows
 
 
 # Recorded output of `report --n-min 3 --n-max 4 --m-min 0 --m-max 2` and of
@@ -529,6 +531,32 @@ class TestReport:
         assert code == 2 and "65" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "wide, tight",
+        [
+            (["--n-min", "3", "--n-max", "4", "--m-max", "1000000000"],
+             ["--n-min", "3", "--n-max", "4", "--m-max", "2"]),
+            (["--n-min", "-1000000000", "--n-max", "4", "--m-min", "1"],
+             ["--n-min", "2", "--n-max", "4", "--m-min", "1"]),
+        ],
+    )
+    def test_bounds_past_every_instance_cost_nothing(self, wide, tight):
+        # Only 0 <= 2m <= n gives an instance, so a range that reaches a
+        # billion values past the instances ends at once, with the rows of
+        # the range that holds just them.
+        out = [
+            subprocess.run(
+                [sys.executable, "-m", "boolcut.cli", "report", *argv],
+                env=_python_env(),
+                capture_output=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for argv in (wide, tight)
+        ]
+        assert out[0] == out[1]
+        assert out[0].count(b"\n") > 1
+
     def test_tiny_budget_reports_unknown_but_exits_0(self, capsys):
         code, out, _ = run(
             capsys, "report", "--n-min", "4", "--n-max", "4", "--m-min", "0",
@@ -543,7 +571,10 @@ class TestReport:
         real = search.exact_search
 
         def exact(result, value):
-            return dataclasses.replace(result, value=value, lower=value, upper=value)
+            return SearchResult(
+                result.status, value, value, value, result.witness, result.nodes_expanded,
+                result.prunes, result.elapsed,
+            )
 
         def violating(target, n, m, l, budget, node_cap):
             result = real(target, n, m, l, budget, node_cap=node_cap)
@@ -563,7 +594,7 @@ class TestReport:
 
         def off_by_one(nodes):
             rep = real(nodes)
-            return dataclasses.replace(rep, width=rep.width + 1)
+            return WidthReport(rep.width + 1, rep.antichain_witness, rep.chain_cover)
 
         monkeypatch.setattr(analysis, "width", off_by_one)
         with pytest.raises(InternalError, match="failed re-verification"):
@@ -719,7 +750,8 @@ def _python_env():
 
 
 # Runs `cli.main(sys.argv[1:])` and prints, as its last line, its exit code,
-# the boolcut modules loaded and whether dataclasses and multiprocessing are.
+# the boolcut modules loaded and which of dataclasses, inspect and
+# multiprocessing are.
 _MAIN_THEN_MODULES = """
 import json, sys
 from boolcut import cli
@@ -728,13 +760,22 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "boolcut")
-print(json.dumps([code, loaded, "dataclasses" in sys.modules, "multiprocessing" in sys.modules]))
+heavy = [name for name in ("dataclasses", "inspect", "multiprocessing") if name in sys.modules]
+print(json.dumps([code, loaded, heavy]))
 """
 
 _CLI_ONLY = ["boolcut", "boolcut.cli", "boolcut.defaults", "boolcut.errors"]
 _CONSTRUCT = sorted(
-    [*_CLI_ONLY, "boolcut.chains", "boolcut.constructions", "boolcut.formulas", "boolcut.lattice"]
+    [
+        *_CLI_ONLY,
+        "boolcut.chains",
+        "boolcut.constructions",
+        "boolcut.formulas",
+        "boolcut.lattice",
+        "boolcut.records",
+    ]
 )
+_SEARCH = sorted([*_CONSTRUCT, "boolcut.analysis", "boolcut.search"])
 
 
 def test_importing_the_cli_imports_no_process_pool(tmp_path):
@@ -749,14 +790,23 @@ def test_importing_the_cli_imports_no_process_pool(tmp_path):
     )
     assert out.stdout == "False\n"
     # Each command loads the library modules it runs and no others: the help
-    # and a bad argument none, construct no analysis and verify no search.
+    # and a bad argument none, construct no analysis, verify no search and
+    # only report its workers' module and multiprocessing.  None loads
+    # dataclasses or inspect.
     cutset = str(tmp_path / "cutset.json")
-    for argv, code, modules, dataclasses_loaded in [
-        (["--help"], 0, _CLI_ONLY, False),
-        (["search", "--help"], 0, _CLI_ONLY, False),
-        (["search", "--n", "six"], 2, _CLI_ONLY, False),
-        (["construct", "--n", "6", "--m", "1", "--l", "3", "--out", cutset], 0, _CONSTRUCT, True),
-        (["verify", cutset], 0, sorted([*_CONSTRUCT, "boolcut.analysis"]), True),
+    for argv, code, modules, heavy in [
+        (["--help"], 0, _CLI_ONLY, []),
+        (["search", "--help"], 0, _CLI_ONLY, []),
+        (["search", "--n", "six"], 2, _CLI_ONLY, []),
+        (["construct", "--n", "6", "--m", "1", "--l", "3", "--out", cutset], 0, _CONSTRUCT, []),
+        (["verify", cutset], 0, sorted([*_CONSTRUCT, "boolcut.analysis"]), []),
+        (["search", "--n", "4", "--m", "1", "--l", "2"], 0, _SEARCH, []),
+        (
+            ["report", "--n-min", "3", "--n-max", "3"],
+            0,
+            sorted([*_SEARCH, "boolcut.report"]),
+            ["multiprocessing"],
+        ),
     ]:
         out = subprocess.run(
             [sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
@@ -766,7 +816,7 @@ def test_importing_the_cli_imports_no_process_pool(tmp_path):
             check=True,
         )
         last = json.loads(out.stdout.splitlines()[-1])
-        assert last == [code, modules, dataclasses_loaded, False], argv
+        assert last == [code, modules, heavy], argv
 
 
 _PUBLIC_NAMES = [
@@ -838,7 +888,8 @@ def test_the_package_namespace_is_kept():
 
 _AUDITED_REPORT = """
 import os, sys
-from boolcut import SearchBudget, cli
+from boolcut import SearchBudget
+from boolcut.report import report_rows
 
 parent = os.getpid()
 
@@ -847,7 +898,7 @@ def hook(event, args):
         os.write(2, b"a worker imported %s\\n" % args[0].encode())
 
 sys.addaudithook(hook)  # the workers, forked for the first row, inherit it
-print(len(list(cli.report_rows(range(3, 5), range(0, 2), SearchBudget(100, 60.0), 64))))
+print(len(list(report_rows(range(3, 5), range(0, 2), SearchBudget(100, 60.0), 64))))
 """
 
 
@@ -867,14 +918,15 @@ def test_a_worker_whose_search_succeeds_imports_nothing():
 
 _STALLED_REPORT = """
 import os, sys, time
-from boolcut import SearchBudget, cli, search
+from boolcut import SearchBudget, search
+from boolcut.report import report_rows
 
 def stall(target, n, m, l, budget, node_cap):
     os.write(2, b"%d\\n" % os.getpid())  # one write, whole even when workers race
     time.sleep(600)
 
 search.exact_search = stall
-list(cli.report_rows(range(3, 5), range(0, 3), SearchBudget(10, 1.0), 64))
+list(report_rows(range(3, 5), range(0, 3), SearchBudget(10, 1.0), 64))
 """
 
 

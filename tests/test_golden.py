@@ -59,7 +59,8 @@ from boolcut import (
     exact_min_width,
     width,
 )
-from boolcut.cli import main, report_rows
+from boolcut.cli import main
+from boolcut.report import report_rows
 from boolcut.search import DEFAULT_NODE_CAP
 
 # The cutsets that the certify workload of the benchmark verifies.

@@ -17,6 +17,7 @@ from boolcut import (
     InternalError,
     SearchBudget,
     SearchStatus,
+    WidthReport,
     conjecture_report,
     cutset_auto,
     exact_min_per_level,
@@ -749,7 +750,7 @@ class TestReverification:
 
         def off_by_one(nodes):
             rep = real(nodes)
-            return dataclasses.replace(rep, width=rep.width + 1)
+            return WidthReport(rep.width + 1, rep.antichain_witness, rep.chain_cover)
 
         monkeypatch.setattr(analysis, "width", off_by_one)
         with pytest.raises(InternalError, match="failed re-verification"):
