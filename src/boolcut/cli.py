@@ -33,6 +33,9 @@ DEFAULT_MAX_LATTICE_NODES = 250_000
 # 29 s on the 17,938 of product(17,5,10).
 MAX_MATCHED_NODES = 10_000
 
+# The most (n, m) pairs that identities checks in one run.
+MAX_IDENTITY_PAIRS = 10**6
+
 
 def _budget_from(args):
     from .search import SearchBudget
@@ -204,7 +207,12 @@ def cmd_report(args) -> int:
 def cmd_identities(args) -> int:
     from . import formulas
 
-    records = formulas.check_identities(args.max_n, args.max_m)
+    records = formulas.identity_checks(args.max_n, args.max_m)
+    pairs = (args.max_n + 1) * (args.max_m + 1)
+    if pairs > MAX_IDENTITY_PAIRS:
+        raise DomainError(
+            f"the range has {pairs} (n, m) pairs, above the limit of {MAX_IDENTITY_PAIRS}"
+        )
     rows = (
         [r.identity, str(r.n), str(r.m), str(r.lhs), str(r.rhs), str(r.ok).lower()]
         for r in records

@@ -12,6 +12,7 @@ delta(n, k) = C(n, k) - C(n, k - 1).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 
 from .errors import DomainError
@@ -91,10 +92,15 @@ class IdentityCheck(Record):
 
 
 def check_identities(max_n: int, max_m: int) -> list[IdentityCheck]:
+    """The list of ``identity_checks(max_n, max_m)``."""
+    return list(identity_checks(max_n, max_m))
+
+
+def identity_checks(max_n: int, max_m: int) -> Iterator[IdentityCheck]:
     """Verify the four binomial identity families behind the constructions.
 
     For all n <= max_n and m <= max_m within each family's own parameter
-    condition:
+    condition, n-major, one record at a time:
 
     * delta_sum_c1:  sum_j delta(n, m - j)  = C(n, m)
     * delta_sum_c2:  sum_j delta(n, m - 2j) = C(n-1, m)        (n >= m + 1)
@@ -102,25 +108,29 @@ def check_identities(max_n: int, max_m: int) -> list[IdentityCheck]:
                                                                (n >= 2m + 2)
     * lift_count:    sum_j (C(2m, j) - C(2m, j-1)) * C(n-2m, m-j)
                                             = C(n, m) - C(n, m-1)  (n >= 2m)
+
+    A negative bound raises DomainError at once, before any record.
     """
     if max_n < 0 or max_m < 0:
         raise DomainError("bounds must be nonnegative")
-    records: list[IdentityCheck] = []
-    for n in range(max_n + 1):
-        for m in range(max_m + 1):
-            lhs = _delta_sum(n, m, 1)
-            rhs = binomial(n, m)
-            records.append(IdentityCheck("delta_sum_c1", n, m, lhs, rhs, lhs == rhs))
-            if n >= m + 1:
-                lhs = _delta_sum(n, m, 2)
-                rhs = per_level_bound_value(n, m, m + 1)
-                records.append(IdentityCheck("delta_sum_c2", n, m, lhs, rhs, lhs == rhs))
-            if n >= 2 * m + 2:
-                lhs = _delta_sum(n, m, 3)
-                rhs = per_level_bound_value(n, m, m + 2)
-                records.append(IdentityCheck("delta_sum_c3", n, m, lhs, rhs, lhs == rhs))
-            if n >= 2 * m:
-                lhs = sum(delta(2 * m, j) * binomial(n - 2 * m, m - j) for j in range(m + 1))
-                rhs = delta(n, m)
-                records.append(IdentityCheck("lift_count", n, m, lhs, rhs, lhs == rhs))
-    return records
+    return (
+        check for n in range(max_n + 1) for m in range(max_m + 1) for check in _checks_at(n, m)
+    )
+
+
+def _checks_at(n: int, m: int) -> Iterator[IdentityCheck]:
+    lhs = _delta_sum(n, m, 1)
+    rhs = binomial(n, m)
+    yield IdentityCheck("delta_sum_c1", n, m, lhs, rhs, lhs == rhs)
+    if n >= m + 1:
+        lhs = _delta_sum(n, m, 2)
+        rhs = per_level_bound_value(n, m, m + 1)
+        yield IdentityCheck("delta_sum_c2", n, m, lhs, rhs, lhs == rhs)
+    if n >= 2 * m + 2:
+        lhs = _delta_sum(n, m, 3)
+        rhs = per_level_bound_value(n, m, m + 2)
+        yield IdentityCheck("delta_sum_c3", n, m, lhs, rhs, lhs == rhs)
+    if n >= 2 * m:
+        lhs = sum(delta(2 * m, j) * binomial(n - 2 * m, m - j) for j in range(m + 1))
+        rhs = delta(n, m)
+        yield IdentityCheck("lift_count", n, m, lhs, rhs, lhs == rhs)

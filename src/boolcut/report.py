@@ -56,7 +56,7 @@ def _exit_with_parent(sentinel) -> None:
 
 
 def _search_worker(conn) -> None:
-    """Run each ``(target, n, m, l, budget, node_cap)`` search sent on ``conn``, in a forked worker.
+    """Run each ``exact_search`` whose arguments come on ``conn``, in a forked worker.
 
     Answers each with ``(result, None)``, or ``(exception, traceback text)``
     when the search raises, and waits for the next; the parent kills the
@@ -79,9 +79,11 @@ def _search_worker(conn) -> None:
     watch.daemon = True
     watch.start()
     while True:
-        target, n, m, l, budget, node_cap = conn.recv()
+        target, n, m, l, budget, node_cap, lower = conn.recv()
         try:
-            result = search.exact_search(target, n, m, l, budget, node_cap=node_cap), None
+            result = search.exact_search(
+                target, n, m, l, budget, node_cap=node_cap, lower=lower
+            ), None
         except Exception as exc:
             import traceback
 
@@ -105,39 +107,104 @@ def _reply(conn, worker, task):
     return value
 
 
-def _search_in_workers(tasks):
-    """Yield ``search.exact_search`` of each ``(target, n, m, l, budget, node_cap)``, in order.
+def _row(n, m, l, h=None, g=None):
+    """The report row of (n, m, l), given its searched h and g, or none for SKIPPED cells.
 
-    One forked worker per usable CPU, up to one per task, runs the searches
-    one after another: a worker that finishes one gets the next task not
-    yet given out.  A search's memory grows with its depth, not its node
-    count, so a worker holds little beyond the search it runs.  Fork keeps
-    what the parent has set on the modules, and only the search result
-    comes back.  An exception raised in a worker is raised here, in its
-    task's turn; so is an InternalError for a worker that ended without a
-    result, and a fresh worker takes its place.  Closing the generator
-    kills every worker.
+    A search that raised raises here, h's before g's.  Exact cells must
+    satisfy g <= h <= construction count, which holds for every instance; a
+    row breaking it raises InternalError.
     """
-    if not tasks:
-        return
+    from . import constructions, formulas, search
+
+    conjectured = formulas.conjectured_min_width(n, m, l)
+    g_formula = formulas.per_level_bound_value(n, m, l)
+    counts = constructions.method_counts(n, m, l)
+    construction = min(counts.values()) if counts else None
+    if h is None:
+        h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
+    else:
+        for result in (h, g):
+            if isinstance(result, Exception):
+                raise result
+        rep = search.compare_searches(n, m, l, h, g)
+        h, g = rep.searched_h.value, rep.searched_g.value
+        if h is not None and (
+            construction is not None and h > construction
+            or g is not None and g > h
+        ):
+            raise InternalError(
+                f"g <= h <= construction fails at n={n} m={m} l={l}: "
+                f"g={g} h={h} construction={construction}"
+            )
+        h_cell = _search_cell(rep.searched_h)
+        g_cell = _search_cell(rep.searched_g)
+        flags = ";".join(
+            [
+                _flag_token("h~conj", rep.equal_flags["h_matches_conjectured"]),
+                _flag_token("g~h", rep.equal_flags["g_matches_h"]),
+                _flag_token(
+                    "constr~conj",
+                    rep.equal_flags["construction_matches_conjectured"],
+                ),
+            ]
+        )
+    return [
+        str(n),
+        str(m),
+        str(l),
+        str(l - m + 1),
+        str(conjectured),
+        "" if g_formula is None else str(g_formula),
+        "" if construction is None else str(construction),
+        h_cell,
+        g_cell,
+        flags,
+    ]
+
+
+def report_rows(n_values, m_values, budget, node_cap):
+    """Yield one report row per instance (n, m, l) with m <= l <= n - m, in instance order.
+
+    Instances whose lattice exceeds ``node_cap`` get SKIPPED search cells.
+    The others have h and g searched by ``search.exact_search`` in forked
+    workers, one per usable CPU, up to one per search; a worker that
+    finishes a search gets the next one that is ready.  The searches go out
+    largest lattice first, ties in instance order, so that the longest ones
+    do not start last (longest processing time first, Graham, 1969), and
+    the first row comes last of all.  An instance's h is ready once its g
+    has answered, and starts at g's ``lower``, a lower bound on h too (see
+    ``search.exact_min_width``), or at 1 if g failed.  A row is made once
+    both are in, so no witness is kept.  A row breaking ``_row``'s check,
+    an exception raised in a worker and a worker that ended without a
+    result (whose place a fresh worker takes) raise in the row's turn.
+    Fork keeps what the parent has set on the modules, which are imported
+    here, before any worker is forked, so that a worker imports none, and
+    only the search result comes back.  A worker holds little beyond the
+    search it runs, whose memory grows with its depth.  Closing the
+    generator kills every worker.
+    """
     import multiprocessing  # here, so that the other commands never import it
+    from bisect import insort
     from multiprocessing.connection import wait
 
+    from . import constructions, formulas, search  # for the workers and ``_row``
+    from .lattice import TruncatedLattice
+
+    instances = [
+        (n, m, l) for n in n_values for m in m_values if m <= n - m for l in range(m, n - m + 1)
+    ]
+    sizes = [TruncatedLattice(n, m, l).node_count for n, m, l in instances]
+    # (-size, index, target, lower), ascending: the first goes out next.
+    ready = sorted((-size, k, "g", 1) for k, size in enumerate(sizes) if size <= node_cap)
+    most = min(len(os.sched_getaffinity(0)), 2 * len(ready))
     context = multiprocessing.get_context("fork")
-    pending = list(range(len(tasks)))[::-1]  # the next task's index last
     workers = []
-    running = {}  # connection -> (worker, index of its task)
-    done = {}  # index -> report or exception
+    idle = []  # (connection, worker) with no search
+    running = {}  # connection -> (worker, index, task)
+    searched_g = {}  # index -> g's result or exception, until h's is in
+    rows = {}  # index -> row or the exception to raise in its turn
 
-    def give(conn, worker) -> None:
-        if pending:
-            i = pending.pop()
-            running[conn] = worker, i
-            # A worker that has died reads as end-of-file instead.
-            with contextlib.suppress(OSError):
-                conn.send(tasks[i])
-
-    def start() -> None:
+    def start():
         conn, child = context.Pipe()
         worker = context.Process(target=_search_worker, args=(child,), daemon=True)
         worker.start()
@@ -145,94 +212,46 @@ def _search_in_workers(tasks):
         # once the worker has exited, whether it answered or not.
         child.close()
         workers.append((conn, worker))
-        give(conn, worker)
+        return conn, worker
+
+    def dispatch() -> None:
+        while ready and (idle or len(running) < most):
+            conn, worker = idle.pop() if idle else start()
+            _, k, target, lower = ready.pop(0)
+            task = (target, *instances[k], budget, node_cap, lower)
+            running[conn] = worker, k, task
+            # A worker that has died reads as end-of-file instead.
+            with contextlib.suppress(OSError):
+                conn.send(task)
 
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
-            start()
-        for index in range(len(tasks)):
-            while index not in done:
+        dispatch()
+        for index, size in enumerate(sizes):
+            if size > node_cap:
+                yield _row(*instances[index])
+                continue
+            while index not in rows:
                 for conn in wait(list(running)):
-                    worker, i = running.pop(conn)
-                    done[i] = _reply(conn, worker, tasks[i])
+                    worker, k, task = running.pop(conn)
+                    value = _reply(conn, worker, task)
+                    if task[0] == "g":
+                        searched_g[k] = value
+                        lower = 1 if isinstance(value, Exception) else value.lower
+                        insort(ready, (-sizes[k], k, "h", lower))
+                    else:  # h goes out only once g has answered
+                        try:
+                            rows[k] = _row(*instances[k], value, searched_g.pop(k))
+                        except Exception as exc:
+                            rows[k] = exc
                     if worker.exitcode is None:
-                        give(conn, worker)
-                    elif pending:
-                        start()
-            value = done.pop(index)
-            if isinstance(value, Exception):
-                raise value
-            yield value
+                        idle.append((conn, worker))
+                dispatch()
+            row = rows.pop(index)
+            if isinstance(row, Exception):
+                raise row
+            yield row
     finally:
         for conn, worker in workers:
             worker.kill()
             worker.join()
             conn.close()
-
-
-def report_rows(n_values, m_values, budget, node_cap):
-    """Yield one report row per instance (n, m, l) with m <= l <= n - m.
-
-    Instances whose lattice exceeds ``node_cap`` keep their formula columns
-    but get SKIPPED search cells.  The other instances have h and g searched
-    as two tasks of ``_search_in_workers``, and their rows still come in
-    instance order.  Exact cells must satisfy g <= h <= construction count,
-    which holds for every instance; a row breaking it raises InternalError.
-    The modules the searches run are imported here, before any worker is
-    forked, so that a worker imports none.
-    """
-    from . import constructions, formulas, search
-    from .lattice import TruncatedLattice
-
-    instances = [
-        (n, m, l) for n in n_values for m in m_values if m <= n - m for l in range(m, n - m + 1)
-    ]
-    in_cap = [TruncatedLattice(n, m, l).node_count <= node_cap for n, m, l in instances]
-    tasks = [
-        (target, *inst, budget, node_cap)
-        for inst, ok in zip(instances, in_cap) if ok
-        for target in ("h", "g")
-    ]
-    with contextlib.closing(_search_in_workers(tasks)) as results:
-        for (n, m, l), searched in zip(instances, in_cap):
-            conjectured = formulas.conjectured_min_width(n, m, l)
-            g_formula = formulas.per_level_bound_value(n, m, l)
-            counts = constructions.method_counts(n, m, l)
-            construction = min(counts.values()) if counts else None
-            if not searched:
-                h_cell, g_cell, flags = "SKIPPED", "SKIPPED", "oversize"
-            else:
-                rep = search.compare_searches(n, m, l, next(results), next(results))
-                h, g = rep.searched_h.value, rep.searched_g.value
-                if h is not None and (
-                    construction is not None and h > construction
-                    or g is not None and g > h
-                ):
-                    raise InternalError(
-                        f"g <= h <= construction fails at n={n} m={m} l={l}: "
-                        f"g={g} h={h} construction={construction}"
-                    )
-                h_cell = _search_cell(rep.searched_h)
-                g_cell = _search_cell(rep.searched_g)
-                flags = ";".join(
-                    [
-                        _flag_token("h~conj", rep.equal_flags["h_matches_conjectured"]),
-                        _flag_token("g~h", rep.equal_flags["g_matches_h"]),
-                        _flag_token(
-                            "constr~conj",
-                            rep.equal_flags["construction_matches_conjectured"],
-                        ),
-                    ]
-                )
-            yield [
-                str(n),
-                str(m),
-                str(l),
-                str(l - m + 1),
-                str(conjectured),
-                "" if g_formula is None else str(g_formula),
-                "" if construction is None else str(construction),
-                h_cell,
-                g_cell,
-                flags,
-            ]

@@ -7,32 +7,35 @@ chain-hitting branch engine:
 * g(n, m, l), the least k such that some cutset has at most k nodes on
   every level.
 
-``_run`` raises the target from 1 until ``_decide`` finds a cutset whose
-objective is at most the target.  ``_decide`` solves that decision
-subproblem with one depth-first search from the empty selection, which
-branches on the lexicographically least maximal chain missed by the
-current selection, the greedy walk over its unhit-chain counts
-(``_least_missed_chain``): any cutset must contain one of its
-nodes, so trying each node (in ascending numeric order) is exhaustive.
-Each pruning rule is argued once, in the docstring of the function that
-applies it:
+``_run`` raises the target from ``lower``, 1 unless the caller knows a
+better lower bound (g's for h, see ``exact_min_width``), until
+``_decide`` finds a cutset whose objective is at most the target.
+``_decide`` solves that decision subproblem with one depth-first search
+from the empty selection, which branches on the lexicographically least
+maximal chain missed by the current selection: any cutset must contain
+one of its nodes, so trying each node (in ascending numeric order) is
+exhaustive.  The chains are bits (``_ChainBits``, built once per
+search): each node holds one int with a bit for each chain through it,
+the unhit chains are one int, and the least missed chain is its highest
+set bit.  Each pruning rule is argued once, in the docstring of the
+function that applies it:
 
 * ``_decide``: the objective cut, the exclusion of failed candidates and
   of their orbits under the symmetries of the selection (the search's
   one symmetry rule, also at the empty root), and why no visited-set is
   kept;
-* ``_short_of_chains``: the chain-counting bound;
-* ``_addable``: the width cut of h, from a maximum antichain;
-* ``_ChainCounts``: the incremental unhit-chain counts the bound and the
-  walk read, over the cover rows of ``_cover_rows``.
+* ``_short_of_chains``: the chain-counting bound, a popcount per node;
+* ``_addable``: the width cut of h, from a maximum antichain.
 
 Each result counts its prunes by reason: ``objective``, ``chain_bound``
 and ``excluded``.
 
 Searches are exact or fail loudly: a budget interruption yields bounds or
-UNKNOWN, never a wrong value, and every EXACT result re-verifies its
-witness before returning.  The engine is sequential and fully
-deterministic, so returned values and witnesses are reproducible.
+UNKNOWN, never a wrong value, every EXACT result re-verifies its witness
+before returning, and a search whose chain bits would pass
+``MAX_CHAIN_BYTES`` is refused before it starts.  The engine is
+sequential and fully deterministic, so returned values and witnesses are
+reproducible.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, combinations, compress
-from math import perm
-from operator import mul
+from functools import reduce
+from itertools import accumulate, combinations, compress, repeat
+from math import comb, perm
+from operator import and_, or_
 from typing import Optional
 
 from . import analysis, formulas
@@ -51,8 +55,12 @@ from .analysis import InclusionMatcher
 from .constructions import Cutset, method_counts
 from .defaults import DEFAULT_NODE_CAP, MAX_NODES_EXPANDED, WALL_CLOCK_LIMIT
 from .errors import DomainError, InternalError
-from .lattice import TruncatedLattice, full_mask, level_masks
+from .lattice import TruncatedLattice, level_masks
 from .records import Record
+
+# The most bytes of chain bits a search holds: one bit for each maximal
+# chain on each lattice node, 78 KB for B_7(1, 6) and 1.2 MB for B_8(1, 7).
+MAX_CHAIN_BYTES = 32 << 20
 
 
 class SearchBudget(Record):
@@ -134,186 +142,119 @@ class _Budget:
             raise _Exhausted
 
 
-def _short_of_chains(up, down, room, allowed) -> bool:
+def _short_of_chains(through, unhit, room, allowed) -> bool:
     """True when no allowed completion can hit every unhit chain.
 
     This is the chain-counting bound: the LYM argument of Yamamoto and
-    Lubell, applied to the chains still unhit.  ``up`` and ``down`` are the
-    per-level counts of ``_ChainCounts``, so exactly ``down[v] * up[v]``
-    unhit chains pass through v, and U, the sum of ``up`` over the bottom
-    level, counts them all.  ``room`` holds the most nodes a completion may
-    still add on each level: every level is an antichain, so a completion
-    with objective <= k (width or per-level count) adds at most k minus the
-    level's count there (see ``_decide``).  ``allowed`` holds one byte per
-    lattice node, at ``_ChainCounts.base[i] + j`` for the j-th node of level
-    m + i, and only the nodes whose byte is 1 may be added (``_addable``):
-    the excluded nodes never are, since no cutset that holds the selection
-    holds one of them (see ``_decide``).  Sound: each unhit chain needs an
-    added node, so when the largest allowed products, at most ``room[i]`` of
-    them on level m + i, sum to less than U, no completion exists and the
-    selection is infeasible.
+    Lubell, applied to the chains still unhit.  ``through`` and ``unhit`` are
+    those of ``_ChainBits``, so exactly ``popcount(through[i][j] & unhit)``
+    unhit chains pass through the j-th node of level m + i, and
+    ``popcount(unhit)`` counts them all.  ``room`` holds the most nodes a
+    completion may still add on each level: every level is an antichain, so
+    a completion with objective <= k (width or per-level count) adds at most
+    k minus the level's count there (see ``_decide``).  ``allowed`` holds one
+    byte per lattice node, at ``base[i] + j`` for the j-th node of level
+    m + i, ``base[i]`` counting the nodes below level m + i, and only the
+    nodes whose byte is 1 may be added (``_addable``): the excluded nodes
+    never are, since no cutset that holds the selection holds one of them
+    (see ``_decide``), nor are the selected ones, whose counts are 0.
+    Sound: each unhit chain needs an added node, so when the largest
+    allowed counts, at most ``room[i]`` of them on level m + i, sum to less
+    than the unhit chains, no completion exists and the selection is
+    infeasible.  A maximal chain meets each level once, so when a level's
+    allowed nodes fit its room, the popcount of their OR is the sum of
+    their counts.
     """
-    total = sum(up[0])
+    total = unhit.bit_count()
     reach = 0
     b = 0
-    for ups, downs, r in zip(up, down, room):
+    for row, r in zip(through, room):
         if r:
-            products = compress(map(mul, downs, ups), allowed[b:])
-            reach += sum(sorted(products, reverse=True)[:r])
+            nodes = list(compress(row, allowed[b:]))
+            if len(nodes) <= r:
+                reach += (reduce(or_, nodes, 0) & unhit).bit_count()
+            else:
+                counts = map(int.bit_count, map(and_, nodes, repeat(unhit)))
+                reach += sum(sorted(counts, reverse=True)[:r])
             if reach >= total:
                 return False
-        b += len(ups)
+        b += len(row)
     return reach < total
 
 
-def _cover_rows(levels, n):
-    """The positions of each node's upper covers and of its lower covers.
+class _ChainBits:
+    """The maximal chains as bits, and those that a growing selection leaves unhit.
 
     ``levels`` lists the masks of each lattice level in ascending order,
-    bottom first.  Returns ``(covers, below)``: ``covers[i][j]`` lists the
-    positions on level i + 1 of the covers of the j-th node of level i, for
-    every level but the top, found by bisection, and ``below[i][c]`` the
-    positions on level i of the lower covers of the c-th node of level
-    i + 1.  Both are ascending: ``v | bit`` grows with ``bit``, so a cover
-    row starts with the least cover, and the lower rows are filled in the
-    order of level i.
-    """
-    free = full_mask(n)
-    covers, below = [], []
-    for lv, nxt in zip(levels, levels[1:]):
-        rows = []
-        lower = [[] for _ in nxt]
-        for j, v in enumerate(lv):
-            row = []
-            b = free ^ v
-            while b:
-                low = b & -b
-                c = bisect_left(nxt, v | low)
-                row.append(c)
-                lower[c].append(j)
-                b ^= low
-            rows.append(row)
-        covers.append(rows)
-        below.append(lower)
-    return covers, below
-
-
-def _least_missed_chain(levels, covers, counts) -> list[int]:
-    """Positions, bottom to top, of the least chain through positive counts.
-
-    ``counts[i][j]`` is the number of unhit chains from the j-th node of
-    level i to the top level, and at least one bottom count is positive.  The
-    walk starts at the least bottom node with a positive count and always
-    steps to the least cover with one; as ``levels`` and every cover row are
-    ascending, this is the lexicographically least unhit maximal chain.
-    """
-    j = next(j for j, c in enumerate(counts[0]) if c)
-    path = [j]
-    for lv, cov, cnt in zip(levels, covers, counts[1:]):
-        for j in cov[j]:
-            if cnt[j]:
-                break
-        else:
-            raise InternalError(f"missed-chain reconstruction stuck above {lv[path[-1]]:#x}")
-        path.append(j)
-    return path
-
-
-def _remove_paths(trail, rows, steps, j, gain) -> None:
-    """Subtract ``gain`` times the live path count from j from each row in turn.
-
-    ``rows`` are the count lists of the levels walked, nearest first, and
-    ``steps[k]`` maps a position on the level before ``rows[k]`` to its
-    neighbours on ``rows[k]``.  A node is walked only where its count is
-    nonzero; old values go onto ``trail``.
-    """
-    push = trail.append
-    paths = {j: 1}
-    for row, step in zip(rows, steps):
-        nxt: dict[int, int] = {}
-        for x, p in paths.items():
-            for w in step[x]:
-                if row[w]:
-                    nxt[w] = nxt.get(w, 0) + p
-        if not nxt:
-            return
-        for w, p in nxt.items():
-            old = row[w]
-            push((row, w, old))
-            row[w] = old - p * gain
-        paths = nxt
-
-
-class _ChainCounts:
-    """Unhit-chain counts of one growing selection, kept under select and undo.
-
-    ``up[i][j]`` counts the unhit chains from the j-th node of level m + i to
-    the top level and ``down[i][j]`` the saturated paths from the bottom level
-    to it, both through unselected (live) nodes only, so both are 0 on a
-    selected node.  ``base[i] + j`` is that node's place when the nodes are
-    listed level by level.  The selection starts empty: then every node on
-    level k has ``up`` = perm(n - k, l - k), the orders in which the
-    elements outside it can be added, and ``down`` = perm(k, k - m), the
-    orders in which its elements beyond an m-subset were added.  After that
-    ``select`` and ``undo`` update both in place, the old counts going onto
-    ``trail`` as ``(list, index, old)``: selecting v removes exactly the
-    unhit chains through v, and undo restores the old counts.  ``down`` is a
-    plain live-path count, not zeroed where ``up`` is 0: a product with
-    ``up`` 0 is 0 anyway, and every live path into a node whose ``up`` is
-    positive passes only nodes whose ``up`` is positive, so each product
-    ``down * up`` is still the count of unhit chains through the node.
+    bottom first, and ``covers[i][j]`` lists the positions on level i + 1 of
+    the covers of the j-th node of level i, found by bisection.  A cover row
+    is ascending, as ``v | bit`` grows with ``bit``.  The chains are numbered
+    in reverse lexicographic order of their positions, bottom first: the
+    least chain has the highest bit of the ``top`` bits.  From a node on
+    level m + i there are ``span[i]`` = perm(n - m - i, l - m - i) saturated
+    paths to the top level, so the chains through the j-th bottom node take
+    the j-th run of ``span[0]`` bits from the top, and of the chains through
+    a node on level m + i, those that go on to its t-th cover take the t-th
+    run of ``span[i + 1]`` bits from the top of each run of ``span[i]``
+    that they fill.  ``through[i][j]`` has one bit for each chain through
+    the j-th node of level m + i, and ``unhit`` one for each chain that
+    misses every selected node: ``select`` ANDs it and ``undo`` restores
+    it.  The least missed chain is the highest set bit of ``unhit``.  The
+    search hits the least chains first, so ``unhit`` loses its high bits,
+    and an AND with it or a popcount reads fewer digits the deeper the
+    search goes.
     """
 
-    __slots__ = ("covers", "below", "base", "up", "down", "trail", "marks")
+    __slots__ = ("covers", "span", "top", "through", "unhit", "trail")
 
-    def __init__(self, n, levels, covers, below) -> None:
-        self.covers, self.below = covers, below
-        self.base = list(accumulate(map(len, levels), initial=0))
+    def __init__(self, n, levels) -> None:
         m = levels[0][0].bit_count()
         l = m + len(levels) - 1
-        self.up = [[perm(n - k, l - k)] * len(lv) for k, lv in enumerate(levels, m)]
-        self.down = [[perm(k, k - m)] * len(lv) for k, lv in enumerate(levels, m)]
-        self.trail: list[tuple[list[int], int, int]] = []
-        self.marks: list[int] = []
+        self.covers = [
+            [[bisect_left(nxt, v | 1 << e) for e in range(n) if not v >> e & 1] for v in lv]
+            for lv, nxt in zip(levels, levels[1:])
+        ]
+        self.span = span = [perm(n - k, l - k) for k in range(m, l + 1)]
+        self.top = top = len(levels[0]) * span[0]
+        self.unhit = (1 << top) - 1
+        self.trail: list[int] = []
+        run = (1 << span[0]) - 1
+        self.through = [[run << top - (j + 1) * span[0] for j in range(len(levels[0]))]]
+        for rows, outer, inner, nxt in zip(self.covers, span, span[1:], levels[1:]):
+            # One run of `inner` ones at the bottom of each run of `outer`.
+            last = self.unhit // ((1 << outer) - 1) * ((1 << inner) - 1)
+            takes = [last << outer - (t + 1) * inner for t in range(outer // inner)]
+            above = [0] * len(nxt)
+            for bits, row in zip(self.through[-1], rows):
+                for c, take in zip(row, takes):
+                    above[c] |= bits & take
+            self.through.append(above)
 
     def select(self, i: int, j: int) -> None:
-        """Select the live j-th node v of level m + i.
-
-        The unhit chains that v removes run through v: ``P(w, v) * up[v]``
-        of them start at a live node w below v and ``down[v] * P(v, w)`` end
-        at a live node w above it, where P counts the saturated paths
-        between two nodes whose inner nodes are live.  Each walk leaves v
-        over its lower (upper) covers and keeps only nodes with a nonzero
-        count: a live node with a live path to v has ``up`` at least
-        ``up[v]`` (``down`` at least ``down[v]``), so when that is positive
-        the nonzero nodes are exactly the live ones.
-        """
-        trail = self.trail
-        self.marks.append(len(trail))
-        ups, downs = self.up[i], self.down[i]
-        u, d = ups[j], downs[j]
-        trail.append((ups, j, u))
-        trail.append((downs, j, d))
-        ups[j] = downs[j] = 0
-        if u:
-            _remove_paths(trail, reversed(self.up[:i]), reversed(self.below[:i]), j, u)
-        if d:
-            _remove_paths(trail, self.down[i + 1:], self.covers[i:], j, d)
+        """Select the j-th node of level m + i: its chains are hit."""
+        self.trail.append(self.unhit)
+        self.unhit &= ~self.through[i][j]
 
     def undo(self) -> None:
         """Undo the latest ``select`` that is not undone yet."""
-        mark = self.marks.pop()
-        trail = self.trail
-        for row, j, old in reversed(trail[mark:]):
-            row[j] = old
-        del trail[mark:]
+        self.unhit = self.trail.pop()
+
+    def least_missed(self) -> list[int]:
+        """Positions, bottom to top, of the least unhit chain; some chain is unhit."""
+        j, r = divmod(self.top - self.unhit.bit_length(), self.span[0])
+        path = [j]
+        for rows, inner in zip(self.covers, self.span[1:]):
+            t, r = divmod(r, inner)
+            j = rows[j][t]
+            path.append(j)
+        return path
 
 
 def _comparable(levels) -> dict[int, int]:
     """For each lattice node, a mask of the nodes comparable to it, itself included.
 
     The j-th node of level m + i has bit ``8 * (base[i] + j)``, ``base`` as
-    in ``_ChainCounts``, so that an OR of masks, written out by
+    in ``_short_of_chains``, so that an OR of masks, written out by
     ``to_bytes(len, "little")``, has one byte per node, 1 where the node is
     comparable to one of the OR'ed nodes.  Two nodes are comparable when one
     is a submask of the other, that is when their AND is one of them.
@@ -336,7 +277,7 @@ def _addable(matcher, limit, comparable, everything, excluded) -> bytes:
     member of A, since for a node v of T incomparable to all of them A + v
     would be an antichain of T with ``limit`` + 1 nodes.  So every unhit
     chain needs an added node among the allowed ones, and
-    ``_short_of_chains`` sums only their products.  A candidate that is not
+    ``_short_of_chains`` sums only their counts.  A candidate that is not
     excluded but outside the allowed nodes would fail the push for the same
     reason, so ``_decide`` cuts it as an ``objective`` prune before the
     push, with the same counts.
@@ -386,7 +327,7 @@ def _orbit(x, generators) -> set[int]:
 
 
 def _decide(
-    n, levels, covers, below, comparable, bit_of, elements, limit, width, bud
+    n, levels, chains, comparable, bit_of, elements, limit, width, bud
 ) -> Optional[set[int]]:
     """Find a selection meeting every maximal chain with objective <= limit.
 
@@ -400,7 +341,8 @@ def _decide(
     width exceeds ``limit``.
 
     ``dfs`` carries ``excluded``, a mask in the byte layout of
-    ``_comparable`` (``bit_of`` maps each node to its bit).  Once a
+    ``_comparable`` (``bit_of`` maps each node to its bit), and ``picked``,
+    the selection in that layout, which no completion adds again.  Once a
     candidate x on the least missed chain is cut or its own subtree fails,
     its orbit joins the mask (see ``_orbit``), so x and its images stay
     excluded in the subtrees of x's later siblings, as DPLL does after a
@@ -453,12 +395,12 @@ def _decide(
     they fail proves S infeasible like any other.  E holds only failures
     earlier than the cut and their images, so the induction on the order of
     the failures is not circular.  Returns the selection, or None when no
-    such selection exists.
+    such selection exists.  ``chains`` (``_ChainBits``) comes with no node
+    selected, and a call that returns None leaves it so.
     """
     m = levels[0][0].bit_count()
     matcher = InclusionMatcher() if width else None
-    st = _ChainCounts(n, levels, covers, below)
-    up, down, base = st.up, st.down, st.base
+    base = list(accumulate(map(len, levels), initial=0))
     room = [limit] * len(levels)
     prunes = bud.prunes
     everything = sum(bit_of.values())
@@ -466,15 +408,15 @@ def _decide(
     # profile[e] sums 2 ** (16 * |v|) over the selected nodes v that hold e.
     profile = [0] * n
 
-    def dfs(excluded: int) -> bool:
+    def dfs(excluded: int, picked: int) -> bool:
         # The caller has counted this node.
-        if not any(up[0]):
+        if not chains.unhit:
             return True
-        allowed = _addable(matcher, limit, comparable, everything, excluded)
-        if _short_of_chains(up, down, room, allowed):
+        allowed = _addable(matcher, limit, comparable, everything, excluded | picked)
+        if _short_of_chains(chains.through, chains.unhit, room, allowed):
             prunes["chain_bound"] += 1
             return False
-        path = _least_missed_chain(levels, covers, up)
+        path = chains.least_missed()
         generators = None
         # path[i] lies on level m + i.
         for i, j in enumerate(path):
@@ -492,19 +434,19 @@ def _decide(
                 prunes["objective"] += 1
             else:
                 bud.tick()
-                st.select(i, j)
+                chains.select(i, j)
                 chosen.add(x)
                 weight = 1 << 16 * (m + i)
                 for e in elements[x]:
                     profile[e] += weight
                 room[i] -= 1
-                if dfs(excluded):
+                if dfs(excluded, picked | bit_of[x]):
                     return True
                 room[i] += 1
                 chosen.remove(x)
                 for e in elements[x]:
                     profile[e] -= weight
-                st.undo()
+                chains.undo()
                 if width:
                     matcher.pop()
             # x failed, and so does its image under any symmetry of the selection.
@@ -517,10 +459,10 @@ def _decide(
         return False
 
     bud.tick()
-    return chosen if dfs(0) else None
+    return chosen if dfs(0, 0) else None
 
 
-def _run(n, m, l, budget, node_cap, width) -> SearchResult:
+def _run(n, m, l, budget, node_cap, width, lower) -> SearchResult:
     lat = TruncatedLattice(n, m, l)
     counts = method_counts(n, m, l)
     if lat.node_count > node_cap:
@@ -528,24 +470,32 @@ def _run(n, m, l, budget, node_cap, width) -> SearchResult:
             f"lattice has {lat.node_count} nodes, above the cap {node_cap}; "
             "raise the cap to search anyway"
         )
+    chain_count = comb(n, m) * perm(n - m, l - m)
+    if lat.node_count * chain_count > 8 * MAX_CHAIN_BYTES:
+        raise DomainError(
+            f"the search would hold one bit for each of the {chain_count} maximal chains "
+            f"on each of the {lat.node_count} lattice nodes, above {MAX_CHAIN_BYTES} bytes"
+        )
+    # Any single level between m and l is itself a cutset, and so is every
+    # construction, with k chains holding at most k nodes on a level and
+    # having width at most k; both bound both objectives.  Level m is the
+    # smallest, as C(n, m) <= C(n, i) for m <= i <= n - m.
+    upper = min([comb(n, m), *counts.values()])
+    if type(lower) is not int or not 1 <= lower <= upper:
+        raise DomainError(f"lower must be an int from 1 to the upper bound {upper}, got {lower!r}")
     levels = [level_masks(n, i) for i in range(m, l + 1)]
-    covers, below = _cover_rows(levels, n)
+    chains = _ChainBits(n, levels)
     comparable = _comparable(levels) if width else None
     flat = [v for lv in levels for v in lv]
     bit_of = {v: 1 << 8 * b for b, v in enumerate(flat)}
     elements = {v: [e for e in range(n) if v >> e & 1] for v in flat}
     bud = _Budget(budget or SearchBudget())
     start = time.monotonic()
-    # Any single level between m and l is itself a cutset, and so is every
-    # construction, with k chains holding at most k nodes on a level and
-    # having width at most k; both bound both objectives.  Level m is the
-    # smallest, as C(n, m) <= C(n, i) for m <= i <= n - m.
-    upper = min([len(levels[0]), *counts.values()])
-    target = 1
+    target = lower
     try:
         while target <= upper:
             selection = _decide(
-                n, levels, covers, below, comparable, bit_of, elements, target, width, bud
+                n, levels, chains, comparable, bit_of, elements, target, width, bud
             )
             if selection is not None:
                 wit = Cutset(lat, tuple((v,) for v in sorted(selection)))
@@ -581,12 +531,19 @@ def exact_min_width(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    lower: int = 1,
 ) -> SearchResult:
     """Exact h(n, m, l): the minimum width over all cutsets of levels m..l.
 
-    Iterative deepening on the target width, starting from 1.
+    Iterative deepening on the target width, starting from ``lower``, a
+    proven lower bound on h from 1 to the upper bound.  The ``lower`` of
+    ``exact_min_per_level`` on the same instance is one: g <= h, because
+    every level of B_n(m, l) is an antichain, so a cutset of width w holds
+    at most w nodes on each level.  Each target is searched afresh, so a
+    seeded search meets the same value and witness as one from 1, in fewer
+    nodes when it skips targets.
     """
-    return _run(n, m, l, budget, node_cap, True)
+    return _run(n, m, l, budget, node_cap, True, lower)
 
 
 def exact_min_per_level(
@@ -596,9 +553,10 @@ def exact_min_per_level(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    lower: int = 1,
 ) -> SearchResult:
-    """Exact g(n, m, l): least k with a cutset holding <= k nodes per level."""
-    return _run(n, m, l, budget, node_cap, False)
+    """Exact g(n, m, l): least k with a cutset holding <= k nodes per level, from ``lower`` up."""
+    return _run(n, m, l, budget, node_cap, False, lower)
 
 
 def exact_search(
@@ -609,10 +567,11 @@ def exact_search(
     budget: Optional[SearchBudget] = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    lower: int = 1,
 ) -> SearchResult:
     """``exact_min_width`` when ``target`` is "h", ``exact_min_per_level`` when it is "g"."""
     run = {"h": exact_min_width, "g": exact_min_per_level}[target]
-    return run(n, m, l, budget, node_cap=node_cap)
+    return run(n, m, l, budget, node_cap=node_cap, lower=lower)
 
 
 class ConjectureReport(Record):
@@ -666,9 +625,12 @@ def conjecture_report(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ConjectureReport:
-    """Compare conjectured, searched, and constructed values on one instance."""
-    searched_h = exact_min_width(n, m, l, budget, node_cap=node_cap)
+    """Compare conjectured, searched, and constructed values on one instance.
+
+    g is searched first, and h from g's ``lower`` (see ``exact_min_width``).
+    """
     searched_g = exact_min_per_level(n, m, l, budget, node_cap=node_cap)
+    searched_h = exact_min_width(n, m, l, budget, node_cap=node_cap, lower=searched_g.lower)
     return compare_searches(n, m, l, searched_h, searched_g)
 
 

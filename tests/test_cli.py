@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -474,6 +475,12 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--n", "20", "--m", "5", "--l", "10")
         assert code == 2
 
+    def test_chain_bits_past_the_cap_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "search", "--n", "10", "--m", "1", "--l", "9", "--max-lattice-nodes", "2000"
+        )
+        assert code == 2 and "3628800 maximal chains" in err
+
     def test_cap_override(self, capsys):
         code, out, _ = run(
             capsys, "search", "--n", "6", "--m", "1", "--l", "3",
@@ -568,6 +575,7 @@ class TestReport:
     @pytest.mark.parametrize("broken", ["h_above_construction", "g_above_h"])
     def test_sandwich_violation_raises(self, monkeypatch, broken):
         # h and g run in separate workers, so the g worker searches h itself.
+        # Each search starts from 1: the planted g is no lower bound on h.
         real = search.exact_search
 
         def exact(result, value):
@@ -576,7 +584,7 @@ class TestReport:
                 result.prunes, result.elapsed,
             )
 
-        def violating(target, n, m, l, budget, node_cap):
+        def violating(target, n, m, l, budget, node_cap, lower):
             result = real(target, n, m, l, budget, node_cap=node_cap)
             if broken == "g_above_h" and target == "g":
                 h = real("h", n, m, l, budget, node_cap=node_cap).value
@@ -601,23 +609,25 @@ class TestReport:
             main(["report", "--n-min", "4", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
     def test_closing_the_rows_stops_the_workers(self, monkeypatch, tmp_path):
-        # With four CPUs the searches of (3, 0, 1) start beside those of
-        # (3, 0, 0) and stall.  The worker freed by h(3, 0, 0) may take
-        # h(3, 0, 2) before g(3, 0, 0) is done, so two or three searches stall.  The
-        # rows are closed once two have, and closing must end every one of
-        # them.  The class fixture checks the same.
+        # With four CPUs the searches go out largest lattice first, so the g
+        # searches of the two 64-node lattices, (6, 0, 6) and (7, 0, 3), start
+        # first and stall; their h searches wait for them and never go out.
+        # The other two workers run every other search, the row of (3, 0, 0)
+        # last of all, so the first row comes while two searches stall.  The
+        # rows are closed then, and closing must end every worker.  The class
+        # fixture checks the same.
         real = search.exact_search
         stalled = tmp_path / "stalled"
         stalled.touch()
 
-        def stalls_after_3_0_0(target, n, m, l, budget, node_cap):
-            if (n, m, l) != (3, 0, 0):
+        def stalls_on_64_nodes(target, n, m, l, budget, node_cap, lower):
+            if TruncatedLattice(n, m, l).node_count == 64:
                 with open(stalled, "a") as f:
                     f.write(f"{os.getpid()}\n")
                 time.sleep(600)
-            return real(target, n, m, l, budget, node_cap=node_cap)
+            return real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
 
-        monkeypatch.setattr(search, "exact_search", stalls_after_3_0_0)
+        monkeypatch.setattr(search, "exact_search", stalls_on_64_nodes)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         rows = report_rows(range(3, 13), range(0, 33), SearchBudget(50_000, 3600.0), 64)
         try:
@@ -625,11 +635,40 @@ class TestReport:
             deadline = time.monotonic() + 10
             while len(stalled.read_text().split()) < 2 and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert len(stalled.read_text().split()) >= 2
+            assert len(stalled.read_text().split()) == 2
         finally:
             rows.close()
         workers = [int(pid) for pid in stalled.read_text().split()]
         assert not any(map(_running, workers))
+
+    def test_dispatch_goes_largest_lattice_first_and_seeds_h_at_g(self, monkeypatch, tmp_path):
+        # With one CPU the one worker runs the searches in the order they go
+        # out: the largest lattice first, ties in instance order, each h right
+        # after its g and from g's lower bound.  The rows still come in
+        # instance order.
+        real = search.exact_search
+        log = tmp_path / "log"
+        log.touch()
+
+        def logging(target, n, m, l, budget, node_cap, lower):
+            with open(log, "a") as f:
+                f.write(f"{target} {n} {m} {l} {lower}\n")
+            return real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
+
+        monkeypatch.setattr(search, "exact_search", logging)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rows = list(report_rows(range(3, 5), range(1, 2), SearchBudget(50_000, 3600.0), 64))
+        assert [row[:3] for row in rows] == [
+            ["3", "1", "1"], ["3", "1", "2"], ["4", "1", "1"], ["4", "1", "2"], ["4", "1", "3"]
+        ]
+        # Lattice sizes 3, 6, 4, 10 and 14; g is 3, 2, 4, 3 and 3.
+        assert log.read_text().splitlines() == [
+            "g 4 1 3 1", "h 4 1 3 3",
+            "g 4 1 2 1", "h 4 1 2 3",
+            "g 3 1 2 1", "h 3 1 2 2",
+            "g 4 1 1 1", "h 4 1 1 4",
+            "g 3 1 1 1", "h 3 1 1 3",
+        ]
 
     def test_workers_serve_many_searches(self, monkeypatch, tmp_path):
         # Each worker is forked once and runs one search after another, so the
@@ -639,10 +678,10 @@ class TestReport:
         pids = tmp_path / "pids"
         pids.touch()
 
-        def noting_the_pid(target, n, m, l, budget, node_cap):
+        def noting_the_pid(target, n, m, l, budget, node_cap, lower):
             with open(pids, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return real(target, n, m, l, budget, node_cap=node_cap)
+            return real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
 
         monkeypatch.setattr(search, "exact_search", noting_the_pid)
         out = str(tmp_path / "r.csv")
@@ -655,10 +694,10 @@ class TestReport:
         # As when a worker is killed from outside, say by the OOM killer.
         real = search.exact_search
 
-        def dies_on_g_4_1_2(target, n, m, l, budget, node_cap):
+        def dies_on_g_4_1_2(target, n, m, l, budget, node_cap, lower):
             if (target, n, m, l) == ("g", 4, 1, 2):
                 os._exit(1)
-            return real(target, n, m, l, budget, node_cap=node_cap)
+            return real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
 
         monkeypatch.setattr(search, "exact_search", dies_on_g_4_1_2)
         message = "the g search worker for n=4 m=1 l=2 exited with code 1 and sent no result"
@@ -668,7 +707,7 @@ class TestReport:
     def test_worker_errors_are_raised_in_row_order(self, monkeypatch):
         # Every later search fails first; the report still raises the error
         # of the first one, with the worker's traceback as its cause.
-        def fails_on_3_1(target, n, m, l, budget, node_cap):
+        def fails_on_3_1(target, n, m, l, budget, node_cap, lower):
             if (target, l) == ("h", 1):
                 time.sleep(0.5)
             raise InternalError(f"planted in {target} at l={l}")
@@ -708,6 +747,38 @@ class TestIdentities:
         )
         assert code == 0
         assert path.read_text().startswith("identity,n,m,lhs,rhs,pass\n")
+
+    def test_default_table_is_byte_identical(self, capsys):
+        # The sha256 of the default table (n <= 40, m <= 10), recorded when
+        # the command still built every row before writing the first.
+        code, out, _ = run(capsys, "identities")
+        assert code == 0
+        digest = "f64944b3ecc6a799162d4c899fdb1f146c9eed9993282f4968f3b17ef6449f92"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_range_past_the_pair_cap_exits_2_at_once(self, capsys, tmp_path):
+        path = tmp_path / "identities.csv"
+        code, out, err = run(
+            capsys, "identities", "--max-n", "1000000000", "--max-m", "0", "--out", str(path)
+        )
+        assert code == 2 and "1000000001 (n, m) pairs" in err
+        assert out == "" and not path.exists()
+
+    def test_rows_are_written_as_they_are_made(self, capsys, monkeypatch):
+        # A failure at the second pair comes after the rows of the first.
+        real = formulas._checks_at
+
+        def second_pair_fails(n, m):
+            if (n, m) != (0, 0):
+                raise RuntimeError("planted")
+            return real(n, m)
+
+        monkeypatch.setattr(formulas, "_checks_at", second_pair_fails)
+        with pytest.raises(RuntimeError, match="planted"):
+            main(["identities", "--max-n", "999999", "--max-m", "0"])
+        assert capsys.readouterr().out == (
+            "identity,n,m,lhs,rhs,pass\ndelta_sum_c1,0,0,1,1,true\nlift_count,0,0,1,1,true\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -921,7 +992,7 @@ import os, sys, time
 from boolcut import SearchBudget, search
 from boolcut.report import report_rows
 
-def stall(target, n, m, l, budget, node_cap):
+def stall(target, n, m, l, budget, node_cap, lower):
     os.write(2, b"%d\\n" % os.getpid())  # one write, whole even when workers race
     time.sleep(600)
 
@@ -943,7 +1014,7 @@ def _running(pid):
 def test_workers_exit_when_report_is_killed():
     # A SIGKILL runs no cleanup in the parent, so each worker must notice on
     # its own that the parent is gone.  The stalled report has 15 instances,
-    # so 30 searches.
+    # so 15 g searches go out before any h.
     proc = subprocess.Popen(
         [sys.executable, "-c", _STALLED_REPORT],
         env=_python_env(),
@@ -952,7 +1023,7 @@ def test_workers_exit_when_report_is_killed():
     )
     workers = []
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), 30)):
+        for _ in range(min(len(os.sched_getaffinity(0)), 15)):
             workers.append(int(proc.stderr.readline()))
     finally:
         proc.kill()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
@@ -28,7 +29,7 @@ from boolcut import (
     width,
 )
 from boolcut import analysis, search
-from boolcut.lattice import level_masks
+from boolcut.lattice import TruncatedLattice, level_masks
 
 from helpers import (
     brute_force_width,
@@ -237,6 +238,39 @@ class TestExactMinWidth:
         # 8,710 since the chain bound skips excluded nodes.
         assert_pinned(run, n, m, l, run(n, m, l), value)
 
+    def test_seeded_at_g_meets_the_same_value_and_witness(self):
+        # g <= h, so h's deepening may start at g's lower bound, as report
+        # does; on every sweep instance it meets the value and witness of the
+        # search from 1, in no more nodes.
+        for n, m, l in instances(12):
+            if TruncatedLattice(n, m, l).node_count > search.DEFAULT_NODE_CAP:
+                continue
+            g = exact_min_per_level(n, m, l)
+            plain = exact_min_width(n, m, l)
+            seeded = exact_min_width(n, m, l, lower=g.lower)
+            assert plain.status is seeded.status is g.status is SearchStatus.EXACT
+            assert (seeded.value, seeded.witness) == (plain.value, plain.witness)
+            assert seeded.nodes_expanded <= plain.nodes_expanded
+
+    @pytest.mark.parametrize("run", [exact_min_width, exact_min_per_level])
+    @pytest.mark.parametrize("lower", [0, -1, 5, True, 2.0])
+    def test_lower_outside_one_to_upper_is_refused(self, run, lower):
+        # The upper bound of (5,1,4) is 4, the construction count.
+        with pytest.raises(DomainError, match="lower must be an int from 1 to the upper bound 4"):
+            run(5, 1, 4, lower=lower)
+
+    def test_chain_bits_past_the_cap_are_refused_at_once(self, monkeypatch):
+        # B_10(1, 9) has 1,022 nodes and 10 * 9! = 3,628,800 maximal chains:
+        # 442 MB of bits.  The search refuses it before it lists a level.
+        def no_levels(n, k):
+            raise AssertionError("listed a level")
+
+        monkeypatch.setattr(search, "level_masks", no_levels)
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="each of the 3628800 maximal chains"):
+            exact_min_width(10, 1, 9, node_cap=2000)
+        assert time.monotonic() - start < 1.0
+
     @pytest.mark.parametrize("nodes", [True, 2.5])
     def test_node_budget_must_be_an_int(self, nodes):
         with pytest.raises(DomainError):
@@ -306,6 +340,16 @@ class TestExactMinPerLevel:
             assert g <= h
 
 
+def selected_chain_bits(n, levels, selected):
+    """The search's ``_ChainBits`` of ``levels`` with the nodes of ``selected`` selected."""
+    chains = search._ChainBits(n, levels)
+    for i, lv in enumerate(levels):
+        for j, v in enumerate(lv):
+            if v in selected:
+                chains.select(i, j)
+    return chains
+
+
 def live_prefix_counts(n, m, l, selected):
     """Per level, the saturated chains from level m to each node that avoid ``selected``."""
     out = []
@@ -330,16 +374,16 @@ class TestChainBound:
     @staticmethod
     def prunes(n, m, l, selected, lowest, k, allowed=None):
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers = search._cover_rows(levels, n)[0]
+        covers = search._ChainBits(n, levels).covers
         found = missed_chain_masks(levels, covers, selected)
         counts = Counter(v.bit_count() for v in selected)
         room = [k - counts[i] if i >= lowest else 0 for i in range(m, l + 1)]
         if found is None:
             return found, False
-        down = live_prefix_counts(n, m, l, selected)
+        chains = selected_chain_bits(n, levels, selected)
         if allowed is None:
             allowed = b"\x01" * sum(map(len, levels))
-        return found, search._short_of_chains(found[1], down, room, allowed)
+        return found, search._short_of_chains(chains.through, chains.unhit, room, allowed)
 
     def test_prunes_below_the_optimum(self):
         # h(4,1,2) = 3: with at most 2 nodes per level, the 12 chains of
@@ -389,7 +433,7 @@ class TestChainBound:
         l = data.draw(st.integers(m, n - m))
         lowest = data.draw(st.integers(m, l))
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers = search._cover_rows(levels, n)[0]
+        covers = search._ChainBits(n, levels).covers
         pool = [v for lv in levels for v in lv]
         selected = []
         for _ in range(data.draw(st.integers(0, 10))):
@@ -439,14 +483,14 @@ def watch_search(monkeypatch):
 
     ``k`` is the target of the running decision call, ``levels`` the
     levels of its lattice and ``selection`` the nodes that its
-    ``_ChainCounts`` holds selected, in the order selected.
+    ``_ChainBits`` holds selected, in the order selected.
     """
     state = {}
     real_decide = search._decide
 
-    class Counts(search._ChainCounts):
-        def __init__(self, n, levels, covers, below):
-            super().__init__(n, levels, covers, below)
+    class Chains(search._ChainBits):
+        def __init__(self, n, levels):
+            super().__init__(n, levels)
             state.update(levels=levels, selection=[])
 
         def select(self, i, j):
@@ -462,7 +506,7 @@ def watch_search(monkeypatch):
         state["k"] = limit
         return real_decide(*args)
 
-    monkeypatch.setattr(search, "_ChainCounts", Counts)
+    monkeypatch.setattr(search, "_ChainBits", Chains)
     monkeypatch.setattr(search, "_decide", decide)
     return state
 
@@ -503,15 +547,15 @@ def bound_cuts(monkeypatch, run, n, m, l):
         )
         return real_addable(matcher, limit, comparable, everything, excluded)
 
-    def short_of_chains(up, down, room, allowed):
-        pruned = real_short(up, down, room, allowed)
+    def short_of_chains(through, unhit, room, allowed):
+        pruned = real_short(through, unhit, room, allowed)
         if pruned:
             cuts.append(BoundCut(
                 frozenset(state["selection"]),
                 state["k"],
                 excluded_nodes(state, state["excluded"]),
-                not real_short(up, down, room, state["without_width"]),
-                not real_short(up, down, room, state["without_exclusion"]),
+                not real_short(through, unhit, room, state["without_width"]),
+                not real_short(through, unhit, room, state["without_exclusion"]),
             ))
         return pruned
 
@@ -557,10 +601,10 @@ class TestExclusion:
             failed[key(x)] = generators
             return real_orbit(x, generators)
 
-        def decide(n, levels, covers, below, comparable, bit_of, *rest):
+        def decide(n, levels, chains, comparable, bit_of, *rest):
             bud = rest[-1]
             bud.prunes = Prunes(bud.prunes)
-            return watched_decide(n, levels, covers, below, comparable, Bits(bit_of), *rest)
+            return watched_decide(n, levels, chains, comparable, Bits(bit_of), *rest)
 
         monkeypatch.setattr(search, "_orbit", orbit)
         monkeypatch.setattr(search, "_decide", decide)
@@ -630,9 +674,12 @@ class TestExclusion:
         entered = []  # (target, the one selected node, the excluded nodes)
 
         def addable(matcher, limit, comparable, everything, excluded):
-            # Called once on entering each selection; one node is a root candidate.
+            # Called once on entering each selection; one node is a root
+            # candidate.  The mask holds the selection too, which no
+            # completion adds again.
             if len(state["selection"]) == 1:
-                entered.append((limit, *state["selection"], excluded_nodes(state, excluded)))
+                skipped = excluded_nodes(state, excluded) - set(state["selection"])
+                entered.append((limit, *state["selection"], skipped))
             return real_addable(matcher, limit, comparable, everything, excluded)
 
         monkeypatch.setattr(search, "_addable", addable)
@@ -690,7 +737,7 @@ class TestSymmetry:
 
 
 class TestChainCounts:
-    """The search's incremental chain counts, against fresh counts after every step."""
+    """The search's unhit chains as bits, against fresh counts after every step."""
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=120, deadline=None)
@@ -698,21 +745,36 @@ class TestChainCounts:
         m = data.draw(st.integers(0, n // 2))
         l = data.draw(st.integers(m, n - m))
         levels = [level_masks(n, i) for i in range(m, l + 1)]
-        covers, below = search._cover_rows(levels, n)
-        state = search._ChainCounts(n, levels, covers, below)
-
-        def snapshot():
-            return [row[:] for row in state.up], [row[:] for row in state.down]
+        state = search._ChainBits(n, levels)
+        covers = state.covers
+        # The chains are numbered in reverse lexicographic order, so bit
+        # C - 1 - c of a node stands for the c-th of the C chains of the
+        # sorted enumeration.
+        chains = sorted(iter_maximal_chains(n, m, l))
+        top = len(chains) - 1
+        assert state.through == [
+            [sum(1 << top - c for c, ch in enumerate(chains) if v in ch) for v in lv]
+            for lv in levels
+        ]
 
         def check(selection):
-            assert state.up == live_suffix_counts(n, m, l, selection)
+            unhit = [c for c, ch in enumerate(chains) if selection.isdisjoint(ch)]
+            assert state.unhit == sum(1 << top - c for c in unhit)
+            # Through each node pass (chains from level m to it) times (chains
+            # from it to level l), all avoiding the selection.
+            up = live_suffix_counts(n, m, l, selection)
+            down = live_prefix_counts(n, m, l, selection)
+            assert [[(t & state.unhit).bit_count() for t in row] for row in state.through] == [
+                [d * u for d, u in zip(ds, us)] for ds, us in zip(down, up)
+            ]
             found = missed_chain_masks(levels, covers, selection)
             if found is not None:
-                assert state.up == found[1]
-            assert state.down == live_prefix_counts(n, m, l, selection)
+                assert found[1] == up
+                path = state.least_missed()
+                assert [lv[j] for lv, j in zip(levels, path)] == found[0] == list(chains[unhit[0]])
 
         check(set())
-        initial = snapshot()
+        initial = state.unhit
         stack = []
         for select in data.draw(st.lists(st.booleans(), max_size=10)):
             live = [(i, j) for i, lv in enumerate(levels) for j, v in enumerate(lv)
@@ -729,17 +791,8 @@ class TestChainCounts:
             state.undo()
             stack.pop()
             check(set(stack))
-        assert snapshot() == initial
-        assert state.trail == [] and state.marks == []
-
-    def test_inconsistent_counts_fail_loudly(self):
-        # A positive count with no positive cover cannot come from
-        # _ChainCounts; the walk raises instead of returning a chain that is
-        # not missed.
-        levels = [level_masks(3, 1), level_masks(3, 2)]
-        covers = search._cover_rows(levels, 3)[0]
-        with pytest.raises(InternalError, match="stuck above 0x1"):
-            search._least_missed_chain(levels, covers, [[1, 0, 0], [0, 0, 0]])
+        assert state.unhit == initial
+        assert state.trail == []
 
 
 class TestReverification:
@@ -842,13 +895,16 @@ def test_sweep_searches_script_lists_every_search_heaviest_first():
         check=True,
     )
     lines = out.stdout.splitlines()
-    assert lines[0].split() == ["search", "status", "cpu_s", "nodes"]
+    assert lines[0].split() == ["search", "status", "cpu_s", "nodes", "report_nodes"]
     rows = [line.split() for line in lines[1:-2]]
     assert len(rows) == 158  # h and g of the 79 sweep instances
     assert len({row[0] for row in rows}) == 158
     cpu = [float(row[2]) for row in rows]
     assert cpu == sorted(cpu, reverse=True)
     assert all(int(row[3]) <= 101 for row in rows)  # the budget, plus the tick that ran past it
+    # report searches h from g's lower bound, and g as here.
+    assert all(int(row[4]) <= int(row[3]) for row in rows if row[0].startswith("h"))
+    assert all(row[4] == row[3] for row in rows if row[0].startswith("g"))
     assert {row[1] for row in rows} == {"EXACT", "LOWER_AND_UPPER_BOUNDS"}
     exact = sum(row[1] == "EXACT" for row in rows)
     assert lines[-2].startswith(f"total 158 searches, {exact} exact, ")
