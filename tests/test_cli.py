@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from boolcut import (
     cli,
     constructions,
     formulas,
+    report,
     search,
 )
 from boolcut.cli import main
@@ -704,6 +706,55 @@ class TestReport:
         with pytest.raises(InternalError, match=message):
             main(["report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
 
+    def test_worker_killed_by_a_signal_raises_with_its_number(self, monkeypatch):
+        # As the OOM killer would: SIGKILL mid-search, which no code in the
+        # worker can catch.  The exit code is the negated signal number.
+        real = search.exact_search
+
+        def killed_on_g_4_1_2(target, n, m, l, budget, node_cap, lower):
+            if (target, n, m, l) == ("g", 4, 1, 2):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
+
+        monkeypatch.setattr(search, "exact_search", killed_on_g_4_1_2)
+        message = "the g search worker for n=4 m=1 l=2 exited with code -9 and sent no result"
+        with pytest.raises(InternalError, match=message):
+            main(["report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"])
+
+    def test_worker_that_dies_after_it_answers_ends_no_report_short(self, capsys, monkeypatch):
+        # The one worker answers h(4, 1, 2) and dies while the parent makes
+        # that row.  The report may see the death before the next task, g(3,
+        # 1, 2), goes out, and fork a fresh worker for it; otherwise it writes
+        # the task to a pipe that no process reads.  That EPIPE must not reach
+        # `main`, which would take it for a closed stdout and exit 0 with a
+        # short CSV: the task is lost, and the report fails in its row's turn.
+        real = search.exact_search
+        real_row = report._row
+        parent = os.getpid()
+
+        def dies_after_h_4_1_2(target, n, m, l, budget, node_cap, lower):
+            result = real(target, n, m, l, budget, node_cap=node_cap, lower=lower)
+            if (target, n, m, l) == ("h", 4, 1, 2):
+                threading.Timer(0.1, os._exit, (1,)).start()
+            return result
+
+        def slow_row(n, m, l, *searched):
+            if os.getpid() == parent and (n, m, l) == (4, 1, 2):
+                time.sleep(0.5)
+            return real_row(n, m, l, *searched)
+
+        monkeypatch.setattr(search, "exact_search", dies_after_h_4_1_2)
+        monkeypatch.setattr(report, "_row", slow_row)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        argv = ["report", "--n-min", "3", "--n-max", "4", "--m-min", "1", "--m-max", "1"]
+        try:
+            code = main(argv)
+        except InternalError as exc:
+            lost = "the g search worker for n=3 m=1 l=2 exited with code 1 and sent no result"
+            assert str(exc) == lost
+        else:
+            assert (code, capsys.readouterr().out.count("\n")) == (0, 6)
+
     def test_worker_errors_are_raised_in_row_order(self, monkeypatch):
         # Every later search fails first; the report still raises the error
         # of the first one, with the worker's traceback as its cause.
@@ -821,8 +872,8 @@ def _python_env():
 
 
 # Runs `cli.main(sys.argv[1:])` and prints, as its last line, its exit code,
-# the boolcut modules loaded and which of dataclasses, inspect and
-# multiprocessing are.
+# the boolcut modules loaded and which of dataclasses, inspect,
+# multiprocessing and pickle are.
 _MAIN_THEN_MODULES = """
 import json, sys
 from boolcut import cli
@@ -831,7 +882,10 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "boolcut")
-heavy = [name for name in ("dataclasses", "inspect", "multiprocessing") if name in sys.modules]
+heavy = [
+    name for name in ("dataclasses", "inspect", "multiprocessing", "pickle")
+    if name in sys.modules
+]
 print(json.dumps([code, loaded, heavy]))
 """
 
@@ -862,8 +916,9 @@ def test_importing_the_cli_imports_no_process_pool(tmp_path):
     assert out.stdout == "False\n"
     # Each command loads the library modules it runs and no others: the help
     # and a bad argument none, construct no analysis, verify no search and
-    # only report its workers' module and multiprocessing.  None loads
-    # dataclasses or inspect.
+    # only report its workers' module.  None loads dataclasses, inspect,
+    # multiprocessing or pickle: report's workers are plain forks that
+    # answer in marshal, and only a search that raises sends pickle.
     cutset = str(tmp_path / "cutset.json")
     for argv, code, modules, heavy in [
         (["--help"], 0, _CLI_ONLY, []),
@@ -876,7 +931,7 @@ def test_importing_the_cli_imports_no_process_pool(tmp_path):
             ["report", "--n-min", "3", "--n-max", "3"],
             0,
             sorted([*_SEARCH, "boolcut.report"]),
-            ["multiprocessing"],
+            [],
         ),
     ]:
         out = subprocess.run(
@@ -1039,13 +1094,20 @@ def test_workers_exit_when_report_is_killed():
             os.kill(pid, signal.SIGKILL)
 
 
+# Runs `cli.main(sys.argv[1:])` and fails if the process then has a child,
+# as the kernel lists them, running or not yet reaped.
 _MAIN_THEN_CHECK_WORKERS = """
-import multiprocessing, sys
+import glob, sys
 from boolcut import cli
 
 code = cli.main(sys.argv[1:])
-if multiprocessing.active_children():
-    sys.exit("a search worker outlived the command")
+paths = glob.glob("/proc/self/task/*/children")
+if not paths:
+    sys.exit("the kernel lists no children")
+for path in paths:
+    with open(path) as f:
+        if f.read().split():
+            sys.exit("a search worker outlived the command")
 sys.exit(code)
 """
 

@@ -3,8 +3,7 @@
 Every record is a frozen value: its ``repr`` text, ``==`` and ``hash`` over
 its fields in order, construction by position, keyword and default, the
 errors of its field checks, refusal of assignment and deletion, and a
-``pickle`` round trip (``report`` pipes budgets and results to its
-workers).
+``pickle`` round trip.
 """
 
 import ast
