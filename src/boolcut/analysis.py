@@ -13,26 +13,28 @@ it in one greedy pass; ``InclusionMatcher`` keeps the same matching under
 push and pop and serves only the incremental exact search.
 
 Cutset membership uses one backward sweep, top level first, that finds
-the live nodes: the unselected nodes from which an unselected saturated
-path leads to the top level.  An unselected top node is live, and an
-unselected node below it is live when one of its covers is, so each node's
-covers are tried only up to the first live one.  Only two adjacent levels
-are held at a time, the live nodes of the level above as the keys of a
-dict.  The selection is a cutset exactly when no bottom node is live.
-Otherwise a depth-first walk up from the least live bottom node, through
-the least live cover at each step and with the dead nodes remembered,
-rebuilds the lexicographically least missed maximal chain.  How many
-chains pass through a node matters only to the exact search's
-chain-counting bound, so those counts are kept in ``search``.
+the dead nodes: those from which no unselected saturated path leads to
+the top level.  A top node is dead when it is selected, and a node below
+when it is selected or every one of its covers is dead, so each node's
+covers are tried only up to the first live one.  Each level's masks are
+made one at a time, and only the dead nodes of two adjacent levels are
+held; the top level's are the selected nodes themselves, and the bottom
+level's are not kept.  The selection is a cutset exactly when every
+bottom node is dead.  Otherwise a depth-first walk up from the least live
+bottom node, through the least live cover at each step and with the dead
+nodes remembered, rebuilds the lexicographically least missed maximal
+chain.  How many chains pass through a node matters only to the exact
+search's chain-counting bound, so those counts are kept in ``search``.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chains import Chain, augment, greedy_match
 from .errors import DomainError, InternalError
-from .lattice import NodeSet, TruncatedLattice, full_mask, level_masks
+from .lattice import NodeSet, TruncatedLattice, full_mask, iter_level_masks
 from .records import Record
 
 
@@ -191,7 +193,25 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
     Returns the size of the largest antichain, an antichain of that size,
     and a partition of the input into that many ascending runs.  The two
     certificate sizes are equal by Dilworth's theorem; the equality and
-    the certificates themselves are re-verified before returning.
+    the certificates themselves are re-verified before returning.  The
+    work is ``mask_width``'s.
+    """
+    masks, n = _shared_ground(nodes)
+    w, antichain, cover = mask_width(masks)
+    return WidthReport(
+        width=w,
+        antichain_witness=tuple(NodeSet(u, n) for u in antichain),
+        chain_cover=tuple(tuple(NodeSet(x, n) for x in seq) for seq in cover),
+    )
+
+
+def mask_width(masks: list[int]) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """The width of the family of ascending distinct bit vectors ``masks``, with certificates.
+
+    Returns the width, a maximum antichain and a cover by that many
+    ascending runs, as bit vectors, once both are re-verified; ``width``
+    wraps them in ``NodeSet``s, and ``verify``, which needs only the
+    number, builds none.
 
     The graph is built once, by ``_proper_subsets``, and matched by one
     ``chains.greedy_match`` pass in ascending mask order: an augmenting
@@ -199,7 +219,6 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
     This is the matching that ``InclusionMatcher.push`` reaches for the
     same order.
     """
-    masks, n = _shared_ground(nodes)
     below = dict(zip(masks, _proper_subsets(masks)))
     above: dict[int, list[int]] = {v: [] for v in masks}
     for v in masks:
@@ -226,12 +245,7 @@ def width(nodes: Iterable[NodeSet]) -> WidthReport:
         and not any(_proper_subsets(antichain))
     ):
         raise InternalError(f"width certificates of {len(masks)} nodes do not verify")
-
-    return WidthReport(
-        width=w,
-        antichain_witness=tuple(NodeSet(u, n) for u in antichain),
-        chain_cover=tuple(tuple(NodeSet(x, n) for x in seq) for seq in cover),
-    )
+    return w, antichain, cover
 
 
 def is_antichain(nodes: Iterable[NodeSet]) -> bool:
@@ -296,11 +310,11 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
     no, the report carries the lexicographically least maximal chain
     disjoint from the input.
 
-    The sweep holds two adjacent levels at a time.  It goes from the top
-    level down and keeps the live nodes of the level above as the keys of a
-    dict; on the top level itself a node is live when it is not selected,
-    which is tested inline.  A set of bit vectors is used as it is, not
-    copied.
+    The sweep goes from the top level down, makes each level's masks one
+    at a time, and keeps the dead nodes of the level above as a set; the
+    top level's dead nodes are the selected ones, so the selection serves
+    as that set.  On the bottom level it stops at the first live node and
+    keeps no set.  A set of bit vectors is used as it is, not copied.
     """
     n, m, l = lat.n, lat.m, lat.l
     check_node = lat.check_node
@@ -315,23 +329,26 @@ def is_cutset(lat: TruncatedLattice, nodes: Iterable[NodeSet | int]) -> CutsetRe
         if copy:
             selected.add(a)
     free = full_mask(n)
-    live: dict[int, None] = {}
+    bottom = None
+    if m == l:  # every node is a top node, live unless selected
+        bottom = next((v for v in iter_level_masks(n, l) if v not in selected), None)
+    dead = selected
     for k in range(l - 1, m - 1, -1):
-        top, above, live = k + 1 == l, live, {}
-        for v in level_masks(n, k):
+        above, dead = dead, set()
+        for v in iter_level_masks(n, k):
             if v not in selected:
                 b = free ^ v
-                while b:
-                    low = b & -b
-                    if (v | low not in selected) if top else (v | low in above):
-                        live[v] = None
+                while b and v | (b & -b) in above:
+                    b &= b - 1
+                if b:  # a live cover, so v is live
+                    if k == m:
+                        bottom = v
                         break
-                    b ^= low
-        if not live:
-            return CutsetReport(True, None)
-    if m == l:  # no level was swept: the unselected top nodes are live
-        live = dict.fromkeys(v for v in level_masks(n, l) if v not in selected)
-    bottom = next(iter(live), None)
+                    continue
+            if k > m:
+                dead.add(v)
+        if len(dead) == comb(n, k):  # all of level k is dead, so all below is too
+            break
     if bottom is None:
         return CutsetReport(True, None)
     path = _least_live_chain(bottom, l, n, selected)

@@ -91,6 +91,7 @@ def cmd_construct(args) -> int:
     import json
 
     from . import constructions
+    from .lattice import TruncatedLattice
 
     n, m, l = args.n, args.m, args.l
     counts = constructions.method_counts(n, m, l)
@@ -102,36 +103,43 @@ def cmd_construct(args) -> int:
         counts[method] * (l - m + 1),
         args.max_lattice_nodes,
     )
-    cut = constructions.BUILDERS[method](n, m, l)
-    summary = {
-        "method": method,
-        "chain_count": cut.chain_count,
-        "levels_used": cut.levels_used(),
-    }
+    # The builder checks the instance, and builds and checks the product's
+    # partition, before the output is opened: a refused construct writes
+    # nothing.  Each chain is then checked and written as it comes.
+    chains = constructions.BUILDERS[method](n, m, l)
+    lat = TruncatedLattice(n, m, l)
     if args.out:
         with _open_out(args.out) as f:
-            cut.write_json(f)
+            count, levels = constructions.write_cutset_json(f, lat, chains)
             f.write("\n")
-        print(json.dumps(summary))
     else:
-        cut.write_json(sys.stdout)
+        count, levels = constructions.write_cutset_json(sys.stdout, lat, chains)
         print()
-        print(json.dumps(summary), file=sys.stderr)
+    summary = json.dumps({"method": method, "chain_count": count, "levels_used": levels})
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
 def _read_cutset(path: str):
-    """The cutset in the JSON file at ``path``; the parsed document is freed on return."""
+    """The cutset in the JSON file at ``path``.
+
+    ``read_cutset_json`` decodes the file chain by chain.  A file that it
+    does not take is parsed whole by ``json.loads`` and read by
+    ``Cutset.from_json``, which give every error message.
+    """
     import json
 
-    from .constructions import Cutset
+    from .constructions import Cutset, read_cutset_json
 
     try:
         with open(path) as f:
-            data = json.load(f)
+            text = f.read()
+        cut = read_cutset_json(text)
+        if cut is None:
+            data = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read cutset JSON: {exc}") from None
-    return Cutset.from_json(data)
+    return cut if cut is not None else Cutset.from_json(data)
 
 
 def cmd_verify(args) -> int:
@@ -147,7 +155,7 @@ def cmd_verify(args) -> int:
     )
     nodes = cut.node_masks()
     # The maximum antichain and the least chain cover have the width's size
-    # (Dilworth; ``width`` checks its certificates), so the file's chains,
+    # (Dilworth; ``mask_width`` checks its certificates), so the file's chains,
     # when they prove the width, stand in for the matching.
     w = analysis.chain_certificate(cut.chain_masks, len(nodes))
     if w is None and len(nodes) > MAX_MATCHED_NODES:
@@ -157,7 +165,9 @@ def cmd_verify(args) -> int:
         )
     cut_report = analysis.is_cutset(cut.lat, nodes)
     if w is None:
-        w = analysis.width(cut.nodes()).width
+        # The set goes before the matching, the command's largest step.
+        nodes = sorted(nodes)
+        w = analysis.mask_width(nodes)[0]
     out = {
         "is_cutset": cut_report.is_cutset,
         "width": w,

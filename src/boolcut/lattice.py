@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import lt
+from typing import Iterator
 
 from .errors import DomainError
 from .records import Record, set_field
@@ -160,22 +161,29 @@ class TruncatedLattice(Record):
         return sum(comb(self.n, i) for i in self.levels)
 
 
-def level_masks(n: int, k: int) -> list[int]:
-    """All k-subsets of [n] as bit vectors, ascending."""
+def iter_level_masks(n: int, k: int) -> Iterator[int]:
+    """All k-subsets of [n] as bit vectors, ascending, made one at a time.
+
+    The arguments are checked when the first mask is asked for.
+    """
     if not 0 <= k <= n <= MAX_GROUND:
         raise DomainError(f"need 0 <= k <= n <= {MAX_GROUND}, got n={n} k={k}")
     if k == 0:
-        return [0]
-    out = []
+        yield 0
+        return
     v = (1 << k) - 1
     limit = 1 << n
     while v < limit:
-        out.append(v)
+        yield v
         # Gosper's hack: next integer with the same popcount.
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
-    return out
+
+
+def level_masks(n: int, k: int) -> list[int]:
+    """All k-subsets of [n] as bit vectors, ascending."""
+    return list(iter_level_masks(n, k))
 
 
 def level_nodes(n: int, k: int) -> list[NodeSet]:

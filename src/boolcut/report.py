@@ -184,7 +184,9 @@ def report_rows(n_values, m_values, budget, node_cap):
     witness is kept, and the parent loads ``pickle`` only to read the
     exception of a search that raised.  A row breaking ``_row``'s check, an
     exception raised in a worker and a worker that ended without an answer
-    (whose place a fresh worker takes) raise in the row's turn.  Fork
+    (whose place a fresh worker takes) raise in the row's turn; an idle
+    worker that has ended is replaced before a task goes out, so that no
+    task is lost to it.  Fork
     keeps what the parent has set on the modules, which are imported
     here, before any worker is forked, so that a worker imports none.  A
     worker holds little beyond the search it runs, whose memory grows
@@ -240,16 +242,28 @@ def report_rows(n_values, m_values, budget, node_cap):
         workers[answer_r] = pid, task_w
         return answer_r
 
-    def reap(fd: int) -> int:
-        """Close the pipes of the worker that answers on ``fd``, and return its exit code."""
+    def close(fd: int) -> int:
+        """Close the pipes of the worker that answers on ``fd``, and return its pid."""
         pid, task_w = workers.pop(fd)
         os.close(fd)
         os.close(task_w)
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return pid
+
+    def reap(fd: int) -> int:
+        """Close the pipes of the worker that answers on ``fd``, and return its exit code."""
+        return os.waitstatus_to_exitcode(os.waitpid(close(fd), 0)[1])
 
     def dispatch() -> None:
         while ready and (idle or len(running) < most):
-            fd = idle.pop() if idle else start()
+            if idle:
+                fd = idle.pop()
+                # An idle worker that has ended since it answered, killed
+                # from outside say, is reaped, and a fresh one takes the task.
+                if os.waitpid(workers[fd][0], os.WNOHANG)[0]:
+                    close(fd)
+                    fd = start()
+            else:
+                fd = start()
             _, k, target, lower = ready.pop(0)
             task = (target, *instances[k], lower)
             running[fd] = k, task

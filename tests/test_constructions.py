@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from boolcut import (
@@ -19,7 +21,8 @@ from boolcut import (
     method_counts,
     width,
 )
-from boolcut import constructions
+from boolcut import cli, constructions
+from boolcut.constructions import read_cutset_json
 
 from helpers import naive_is_cutset, pascal
 
@@ -209,14 +212,15 @@ class TestAuto:
 
     def test_counts_match_builders(self):
         # construct sizes its refusal as counts[method] * (l - m + 1) nodes,
-        # which rests on these facts.
+        # and writes the builder's chains as a cutset of B_n(m, l), which
+        # rest on these facts.
         for n in range(1, 11):
             for m in range(n // 2 + 1):
                 for l in range(m, n - m + 1):
                     for name, count in method_counts(n, m, l).items():
-                        cut = constructions.BUILDERS[name](n, m, l)
+                        chains = tuple(constructions.BUILDERS[name](n, m, l))
+                        cut = Cutset(TruncatedLattice(n, m, l), chains)
                         assert cut.chain_count == count
-                        assert cut.lat == TruncatedLattice(n, m, l)
                         assert len(cut.node_masks()) <= count * (l - m + 1)
 
 
@@ -257,3 +261,126 @@ class TestCutsetJson:
         data = {"format": 1, "n": 4, "m": 1, "l": 3, "chains": [[[1], [1, 2, 3]]]}
         with pytest.raises(DomainError):
             Cutset.from_json(data)
+
+
+def reference_reading(text):
+    """The cutset of ``text`` as ``json.loads`` and ``Cutset.from_json`` read it, or their error."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        return f"cannot read cutset JSON: {exc}"
+    try:
+        return Cutset.from_json(data)
+    except DomainError as exc:
+        return str(exc)
+
+
+def verify_reading(text, tmp_path):
+    """The cutset that ``verify`` reads from a file holding ``text``, or its error."""
+    path = tmp_path / "cut.json"
+    path.write_text(text)
+    try:
+        return cli._read_cutset(str(path))
+    except DomainError as exc:
+        return str(exc)
+
+
+FOURCOLOR = cutset_fourcolor(6, 1).to_json()
+HEAD = '{"format": 1, "n": 4, "m": 1, "l": 3, "chains": '
+
+# Documents that the chain-by-chain reader takes: the layout of construct.
+TAKEN = {
+    "as construct writes": json.dumps(FOURCOLOR) + "\n",
+    "without the newline": json.dumps(FOURCOLOR),
+    "trailing whitespace": json.dumps(FOURCOLOR) + " \t\r\n\n",
+    "empty chains": json.dumps({**FOURCOLOR, "chains": []}),
+    "one chain": HEAD + "[[[1], [1, 2]]]}",
+}
+
+# Valid documents in other layouts, which it leaves to the reference reading.
+DECLINED = {
+    "keys reordered": json.dumps({k: FOURCOLOR[k] for k in ("l", "n", "format", "m", "chains")}),
+    "chains before n": json.dumps(
+        {"chains": FOURCOLOR["chains"], **{k: FOURCOLOR[k] for k in ("format", "n", "m", "l")}}
+    ),
+    "pretty-printed": json.dumps(FOURCOLOR, indent=2),
+    "compact": json.dumps(FOURCOLOR, separators=(",", ":")),
+    "leading whitespace": " " + json.dumps(FOURCOLOR),
+    "spaced chains": json.dumps(FOURCOLOR).replace(", [[", ",  [["),
+    "an extra key first": json.dumps({"note": [None, 1.5, {"chains": []}], **FOURCOLOR}),
+    "an extra key last": json.dumps({**FOURCOLOR, "note": "[[1]]"}),
+    "escaped key": json.dumps(FOURCOLOR).replace('"chains"', '"\\u0063hains"'),
+    "a repeated key": '{"n": 9, ' + json.dumps(FOURCOLOR)[1:],
+    "a repeated key last": json.dumps(FOURCOLOR)[:-1] + ', "n": 6}',
+    "a repeated chains key": (
+        json.dumps({**FOURCOLOR, "chains": []})[:-1]
+        + ', "chains": '
+        + json.dumps(FOURCOLOR["chains"])
+        + "}"
+    ),
+}
+
+# Documents that are not cutset JSON; the reference reading gives the error.
+MALFORMED = {
+    "not an object": "[1, 2]",
+    "empty object": "{}",
+    "empty text": "",
+    "single quotes": "{'format': 1}",
+    "byte order mark": "\ufeff" + json.dumps(FOURCOLOR),
+    "truncated": json.dumps(FOURCOLOR)[:-9],
+    "trailing comma in chains": HEAD + "[[[1]],]}",
+    "trailing comma and space in chains": HEAD + "[[[1]], ]}",
+    "trailing comma in object": HEAD + "[[[1]]],}",
+    "missing colon": '{"format" 1}',
+    "extra data": HEAD + "[[[1]]]} x",
+    "two documents": HEAD + "[[[1]]]}" + HEAD + "[]}",
+    "format 2": json.dumps({**FOURCOLOR, "format": 2}),
+    "format true": json.dumps({**FOURCOLOR, "format": True}),
+    "n a float": json.dumps({**FOURCOLOR, "n": 6.0}),
+    "n not a number": HEAD.replace("4", "NaN") + "[]}",
+    "n with a leading zero": HEAD.replace("4", "04") + "[]}",
+    "n negative": HEAD.replace("4", "-4") + "[]}",
+    "missing l": json.dumps({k: v for k, v in FOURCOLOR.items() if k != "l"}),
+    "chains an object": HEAD + "{}}",
+    "a chain not a list": HEAD + "[[[1]], 5]}",
+    "the first chain not a list": HEAD + "[5]}",
+    "a node not a list": HEAD + "[[[1], 12]]}",
+    "m above l": HEAD.replace('"m": 1', '"m": 4') + "[]}",
+    "element outside [n]": HEAD + "[[[5]]]}",
+    "element outside [n], then a syntax fault": HEAD + "[[[5]], [[1]] [[2]]]}",
+    "saturation fault, then a parse fault": HEAD + "[[[1], [1, 2, 3]], [[2, 2]]]}",
+    "level fault": HEAD + "[[[1]], [[1, 2, 3, 4]]]}",
+    "level fault, then a syntax fault": HEAD + "[[[1, 2, 3, 4]]], ]}",
+}
+
+
+class TestReadCutsetJson:
+    @pytest.mark.parametrize("name", list(TAKEN))
+    def test_takes_the_layout_of_construct(self, name, tmp_path):
+        text = TAKEN[name]
+        want = reference_reading(text)
+        assert isinstance(want, Cutset)
+        assert read_cutset_json(text) == want
+        assert verify_reading(text, tmp_path) == want
+
+    @pytest.mark.parametrize("name", list(DECLINED))
+    def test_leaves_other_layouts_to_the_reference(self, name, tmp_path):
+        text = DECLINED[name]
+        want = reference_reading(text)
+        assert want == cutset_fourcolor(6, 1)
+        assert read_cutset_json(text) is None
+        assert verify_reading(text, tmp_path) == want
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_documents_get_the_reference_message(self, name, tmp_path):
+        text = MALFORMED[name]
+        want = reference_reading(text)
+        assert isinstance(want, str)
+        assert read_cutset_json(text) is None
+        assert verify_reading(text, tmp_path) == want
+
+    def test_a_content_fault_before_a_syntax_fault_reads_as_the_syntax_fault(self, tmp_path):
+        text = MALFORMED["element outside [n], then a syntax fault"]
+        assert verify_reading(text, tmp_path) == (
+            "cannot read cutset JSON: Expecting ',' delimiter: line 1 column 63 (char 62)"
+        )
